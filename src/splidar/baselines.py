@@ -14,7 +14,7 @@ from scipy import ndimage
 
 from .forward import HistogramCube, make_kernel
 from .scene import SPEED_OF_LIGHT
-from .solver import Maps
+from .solver import Maps, _window_sums
 
 _LOG_FLOOR = 1e-12  # keeps log finite when the background is zero
 
@@ -59,16 +59,8 @@ def pixelwise_ml(y, g_t, b, window_half=None):
     depth = (t0 + k_star * bin_width) * (SPEED_OF_LIGHT / 2.0)
     depth = np.where(valid, depth, np.nan)
 
-    n_bins = counts.shape[2]
-    lo = np.maximum(k_star - window_half, 0)
-    hi = np.minimum(k_star + window_half + 1, n_bins)
-    csum = np.concatenate(
-        [np.zeros(counts.shape[:2] + (1,)), np.cumsum(counts, axis=2)], axis=2
-    )
-    in_window = np.take_along_axis(csum, hi[:, :, None], axis=2)[
-        :, :, 0
-    ] - np.take_along_axis(csum, lo[:, :, None], axis=2)[:, :, 0]
-    refl = np.maximum(in_window - b * (hi - lo), 0.0)
+    in_window, width = _window_sums(counts, k_star, window_half)
+    refl = np.maximum(in_window - b * width, 0.0)
     refl = np.where(valid, refl, 0.0)
     return Maps(depth=depth, reflectivity=refl, valid=valid)
 

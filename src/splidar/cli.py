@@ -17,11 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .baselines import pixelwise_ml, reconstruct_no_scan
-from .evaluate import ExperimentSpec, run_experiment
-from .forward import ScanConfig, coarsen, load_cube, make_kernel, save_cube, simulate
+from .evaluate import ExperimentSpec, reconstruct_cell, run_experiment, save_cell_outputs
+from .forward import ScanConfig, load_cube, save_cube, simulate
 from .scene import load_scene, load_scene_dir, make_resolution_chart, save_scene
-from .solver import SolverConfig, extract_depth_reflectivity, save_volume, spiral_solve
+from .solver import SolverConfig
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -99,7 +98,6 @@ def _build_parser():
                    help="reflectivity window (bins, default kernel half-width)")
     p.add_argument("--factor", type=int, default=None,
                    help="noscan coarsening factor (default 2n)")
-    p.add_argument("--threads", type=int, default=None, help="parallelism hint")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("render", help="render an exported map to a color image")
@@ -115,7 +113,6 @@ def _build_parser():
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.add_argument("--beta", type=float, default=None, help="override solver beta")
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="parallelism hint")
     p.set_defaults(func=_cmd_experiment)
     return parser
 
@@ -155,49 +152,27 @@ def _cmd_simulate(args):
 
 
 def _cmd_reconstruct(args):
-    cube = load_cube(args.cube)
-    kernel = make_kernel(cube.config)
-    window_half = (
-        args.window_half if args.window_half is not None
-        else kernel.temporal.size // 2
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    effective = {
-        "method": args.method,
-        "cube": Path(args.cube).name,
-        "window_half": int(window_half),
-    }
-    if args.method == "ml":
-        maps = pixelwise_ml(
-            cube, kernel.temporal, cube.background_per_bin, window_half=window_half
-        )
-    elif args.method == "noscan":
-        factor = args.factor if args.factor is not None else 2 * cube.config.n
-        coarse = coarsen(cube, factor)
-        maps = reconstruct_no_scan(coarse, factor, window_half=window_half)
-        effective["factor"] = int(factor)
-    else:
-        solver_config = SolverConfig(
+    if args.window_half is not None and args.window_half < 0:
+        raise _UsageError(f"--window-half must be >= 0, got {args.window_half}")
+    if args.factor is not None and args.factor < 1:
+        raise _UsageError(f"--factor must be >= 1, got {args.factor}")
+    try:
+        solver = SolverConfig(
             beta=args.beta,
             max_iters=args.max_iters,
             rel_tol=args.rel_tol,
             tv_inner_iters=args.tv_iters,
         )
-        volume, report = spiral_solve(
-            cube, kernel, cube.background_per_bin, solver_config
-        )
-        maps = extract_depth_reflectivity(volume, window_half=window_half)
-        save_volume(volume, out / "volume.spr1", extra_meta={"beta": args.beta})
-        (out / "report.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="ascii",
-        )
-        effective["solver"] = solver_config.to_dict()
-    io.write_map(out / "depth.pgm", np.nan_to_num(maps.depth), maps.valid,
-                 kind="depth", units="m")
-    io.write_map(out / "reflectivity.pgm", maps.reflectivity, maps.valid,
-                 kind="reflectivity", units="relative")
+    except ValueError as exc:
+        raise _UsageError(f"invalid solver settings: {exc}")
+    cube = load_cube(args.cube)
+    maps, report, volume, settings = reconstruct_cell(
+        cube, args.method, solver, args.window_half, args.factor
+    )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    save_cell_outputs(out, maps, report, volume)
+    effective = {"method": args.method, "cube": Path(args.cube).name, **settings}
     (out / "reconstruct.json").write_text(
         json.dumps(effective, sort_keys=True, indent=2) + "\n", encoding="ascii"
     )
@@ -256,7 +231,7 @@ def _cmd_experiment(args):
         spec = ExperimentSpec.from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"invalid experiment spec: {exc}")
-    rows = run_experiment(spec, args.out, threads_hint=args.threads)
+    rows = run_experiment(spec, args.out)
     failures = [r for r in rows if r["status"] != "ok"]
     print(f"wrote {len(rows)} result rows to {args.out} ({len(failures)} failed)")
     return 0 if not failures else RUNTIME_ERROR

@@ -19,7 +19,7 @@ import numpy as np
 from . import io
 from .baselines import pixelwise_ml, reconstruct_no_scan
 from .forward import ScanConfig, coarsen, make_kernel, save_cube, simulate
-from .scene import chart_layout, load_scene_dir, make_resolution_chart
+from .scene import SPEED_OF_LIGHT, chart_layout, load_scene_dir, make_resolution_chart
 from .solver import SolverConfig, extract_depth_reflectivity, save_volume, spiral_solve
 
 RESOLVED_THRESHOLD = 0.2  # contrast at or above this counts as resolved
@@ -111,6 +111,10 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method: {m}")
+        if self.noscan_factor is not None and self.noscan_factor < 1:
+            raise ValueError(f"noscan_factor must be >= 1: {self.noscan_factor}")
+        if self.window_half is not None and self.window_half < 0:
+            raise ValueError(f"window_half must be >= 0: {self.window_half}")
 
     @classmethod
     def from_dict(cls, raw):
@@ -161,34 +165,34 @@ def _load_spec_scene(spec):
     return scene, None
 
 
-def reconstruct_cell(cube, method, spec):
-    """One reconstruction. Returns (Maps, SolveReport or None, RDVolume or None)."""
+def reconstruct_cell(cube, method, solver, window_half=None, noscan_factor=None):
+    """One reconstruction; window_half defaults to the temporal kernel
+    half-width and noscan_factor to 2n. Returns (Maps, SolveReport or None,
+    RDVolume or None, settings), settings being the effective values used."""
     kernel = make_kernel(cube.config)
-    window_half = (
-        spec.window_half
-        if spec.window_half is not None
-        else kernel.temporal.size // 2
-    )
+    if window_half is None:
+        window_half = kernel.temporal.size // 2
+    settings = {"window_half": int(window_half)}
     if method == "ml":
         maps = pixelwise_ml(
             cube, kernel.temporal, cube.background_per_bin, window_half=window_half
         )
-        return maps, None, None
+        return maps, None, None, settings
     if method == "noscan":
-        factor = spec.noscan_factor or 2 * cube.config.n
+        factor = noscan_factor if noscan_factor is not None else 2 * cube.config.n
+        settings["factor"] = int(factor)
         coarse = coarsen(cube, factor)
         maps = reconstruct_no_scan(coarse, factor, window_half=window_half)
-        return maps, None, None
+        return maps, None, None, settings
     if method == "deconv3d":
-        volume, report = spiral_solve(
-            cube, kernel, cube.background_per_bin, spec.solver
-        )
+        settings["solver"] = solver.to_dict()
+        volume, report = spiral_solve(cube, kernel, cube.background_per_bin, solver)
         maps = extract_depth_reflectivity(volume, window_half=window_half)
-        return maps, report, volume
+        return maps, report, volume, settings
     raise ValueError(f"unknown method: {method}")
 
 
-def run_experiment(spec, out_dir, threads_hint=None):
+def run_experiment(spec, out_dir):
     """Execute the sweep and persist everything under out_dir.
 
     Layout: cubes/ (one per ppp x seed, shared across methods), cells/ (maps
@@ -202,7 +206,7 @@ def run_experiment(spec, out_dir, threads_hint=None):
     (out / "cells").mkdir(exist_ok=True)
     scene, layout = _load_spec_scene(spec)
     truth_valid = scene.reflectivity > 0
-    half_bin_m = spec.scan.bin_width * 299792458.0 / 2.0
+    half_bin_m = spec.scan.bin_width * SPEED_OF_LIGHT / 2.0
 
     cubes = {}
     for ppp in spec.ppp:
@@ -224,8 +228,9 @@ def run_experiment(spec, out_dir, threads_hint=None):
                 row.update(method=method, ppp=_fmt(ppp), seed=str(seed))
                 started = time.perf_counter()
                 try:
-                    maps, report, volume = reconstruct_cell(
-                        cubes[(ppp, seed)], method, spec
+                    maps, report, volume, _ = reconstruct_cell(
+                        cubes[(ppp, seed)], method, spec.solver,
+                        spec.window_half, spec.noscan_factor,
                     )
                     mask = maps.valid & truth_valid
                     err_m = rmse(
@@ -238,7 +243,7 @@ def run_experiment(spec, out_dir, threads_hint=None):
                         row["contrasts"] = ";".join(_fmt(c) for c in contrasts)
                     row["iterations"] = str(report.iterations) if report else "0"
                     row["status"] = "ok"
-                    _save_cell_outputs(cell_dir, maps, report, volume)
+                    save_cell_outputs(cell_dir, maps, report, volume)
                 except Exception as exc:  # record and continue the sweep
                     row["status"] = f"error: {exc}"
                 timings.append((cell, time.perf_counter() - started))
@@ -250,7 +255,7 @@ def run_experiment(spec, out_dir, threads_hint=None):
         writer.writerow(["cell", "seconds"])
         for cell, seconds in timings:
             writer.writerow([cell, f"{seconds:.3f}"])
-    _write_manifest(out, spec, threads_hint)
+    _write_manifest(out, spec)
     return rows
 
 
@@ -258,7 +263,8 @@ def _fmt(value):
     return f"{float(value):.10g}"
 
 
-def _save_cell_outputs(cell_dir, maps, report, volume):
+def save_cell_outputs(cell_dir, maps, report, volume):
+    """Write the maps, and the solver report and volume when present."""
     io.write_map(
         cell_dir / "depth.pgm",
         np.nan_to_num(maps.depth),
@@ -289,16 +295,12 @@ def _write_results(path, rows):
         writer.writerows(rows)
 
 
-def _write_manifest(out, spec, threads_hint):
+def _write_manifest(out, spec):
     hashes = {}
     for p in sorted(out.rglob("*")):
         if p.is_file() and p.name not in ("timings.csv", "manifest.json"):
             hashes[str(p.relative_to(out))] = io.sha256_file(p)
-    manifest = {
-        "spec": spec.to_dict(),
-        "threads_hint": threads_hint,
-        "outputs": hashes,
-    }
+    manifest = {"spec": spec.to_dict(), "outputs": hashes}
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="ascii"
     )

@@ -34,7 +34,6 @@ class SolverConfig:
     accept_sigma: float = 0.1
     tv_inner_iters: int = 20
     epsilon_floor: float = 1e-10
-    temporal_tv: bool = False  # include bin-axis differences in the penalty
 
     def __post_init__(self):
         object.__setattr__(self, "step_bounds", tuple(self.step_bounds))
@@ -61,7 +60,6 @@ class SolverConfig:
             "accept_sigma": float(self.accept_sigma),
             "tv_inner_iters": int(self.tv_inner_iters),
             "epsilon_floor": float(self.epsilon_floor),
-            "temporal_tv": bool(self.temporal_tv),
         }
 
 
@@ -132,34 +130,15 @@ def nll_gradient(rd, y, g, b, epsilon_floor=1e-10):
 # anisotropic total variation and its non-negative prox
 
 
-def tv_penalty(rd, temporal=False):
+def tv_penalty(rd):
     """Sum of absolute forward differences along the two spatial axes inside
-    each time slice (plus the bin axis when temporal=True); the trailing
-    edge uses a zero-gradient boundary (no wraparound terms)."""
+    each time slice; the trailing edge uses a zero-gradient boundary (no
+    wraparound terms)."""
     x = _as_volume(rd)
-    total = np.abs(np.diff(x, axis=0)).sum() + np.abs(np.diff(x, axis=1)).sum()
-    if temporal:
-        total += np.abs(np.diff(x, axis=2)).sum()
-    return float(total)
+    return float(np.abs(np.diff(x, axis=0)).sum() + np.abs(np.diff(x, axis=1)).sum())
 
 
-def _div2(p1, p2):
-    """Negative adjoint of the forward-difference gradient, slice by slice.
-
-    A size-1 axis has no differences, so its dual field is skipped."""
-    d = np.zeros_like(p1)
-    if p1.shape[0] > 1:
-        d[0] = p1[0]
-        d[1:-1] = p1[1:-1] - p1[:-2]
-        d[-1] = -p1[-2]
-    if p2.shape[1] > 1:
-        d[:, 0] += p2[:, 0]
-        d[:, 1:-1] += p2[:, 1:-1] - p2[:, :-2]
-        d[:, -1] += -p2[:, -2]
-    return d
-
-
-def prox_tv_nonneg(v, weight, inner_iters=20, temporal=False):
+def prox_tv_nonneg(v, weight, inner_iters=20):
     """Approximate argmin_{x >= 0} 0.5||x - v||^2 + weight * TV(x).
 
     Runs a fixed number of projected dual fixed-point iterations (dual
@@ -179,9 +158,6 @@ def prox_tv_nonneg(v, weight, inner_iters=20, temporal=False):
     clipped = np.maximum(vol, 0.0)
     if weight == 0 or inner_iters == 0:
         return clipped
-    if temporal:
-        # bin-axis differences couple slices; needs a third dual field
-        return _prox_tv3(vol, clipped, weight, inner_iters)
     p1 = np.zeros(vol.shape, dtype=np.float32)
     p2 = np.zeros_like(p1)
     u = np.empty_like(p1)
@@ -202,10 +178,15 @@ def prox_tv_nonneg(v, weight, inner_iters=20, temporal=False):
         np.clip(p2, -1.0, 1.0, out=p2)
     _div2_into(p1, p2, u)
     x = np.maximum(vol - weight * u.astype(np.float64), 0.0)
-    return _keep_better_slices(x, clipped, vol, weight, temporal=False)
+    worse = _slice_objectives(x, vol, weight) > _slice_objectives(clipped, vol, weight)
+    x[:, :, worse] = clipped[:, :, worse]
+    return x
 
 
 def _div2_into(p1, p2, out):
+    """Negative adjoint of the forward-difference gradient, slice by slice.
+
+    A size-1 axis has no differences, so its dual field is skipped."""
     if p1.shape[0] > 1:
         out[0] = p1[0]
         np.subtract(p1[1:-1], p1[:-2], out=out[1:-1])
@@ -219,69 +200,12 @@ def _div2_into(p1, p2, out):
         out[:, -1] -= p2[:, -2]
 
 
-def _forward_diff(u, axis):
-    g = np.zeros_like(u)
-    if axis == 0:
-        g[:-1] = u[1:] - u[:-1]
-    elif axis == 1:
-        g[:, :-1] = u[:, 1:] - u[:, :-1]
-    else:
-        g[:, :, :-1] = u[:, :, 1:] - u[:, :, :-1]
-    return g
-
-
-def _div3(p1, p2, p3):
-    d = _div2(p1, p2)
-    if p3.shape[2] > 1:
-        d[:, :, 0] += p3[:, :, 0]
-        d[:, :, 1:-1] += p3[:, :, 1:-1] - p3[:, :, :-2]
-        d[:, :, -1] += -p3[:, :, -2]
-    return d
-
-
-def _prox_tv3(vol, clipped, weight, inner_iters):
-    tau = 0.08  # under 1/12, the 3D divergence operator norm bound
-    p1 = np.zeros_like(vol)
-    p2 = np.zeros_like(vol)
-    p3 = np.zeros_like(vol)
-    vw = vol / weight
-    for _ in range(inner_iters):
-        u = _div3(p1, p2, p3) - vw
-        np.clip(p1 + tau * _forward_diff(u, 0), -1.0, 1.0, out=p1)
-        np.clip(p2 + tau * _forward_diff(u, 1), -1.0, 1.0, out=p2)
-        np.clip(p3 + tau * _forward_diff(u, 2), -1.0, 1.0, out=p3)
-    x = np.maximum(vol - weight * _div3(p1, p2, p3), 0.0)
-    return _keep_better_slices(x, clipped, vol, weight, temporal=True)
-
-
-def _keep_better_slices(x, fallback, vol, weight, temporal):
-    """Per time slice, pick the candidate with the lower prox objective."""
-    if temporal:
-        # temporal differences couple slices; compare whole volumes instead
-        if _prox_objective(x, vol, weight, True) <= _prox_objective(
-            fallback, vol, weight, True
-        ):
-            return x
-        return fallback
-    obj_x = _slice_objectives(x, vol, weight)
-    obj_f = _slice_objectives(fallback, vol, weight)
-    worse = obj_x > obj_f
-    if worse.any():
-        x = x.copy()
-        x[:, :, worse] = fallback[:, :, worse]
-    return x
-
-
 def _slice_objectives(x, vol, weight):
     quad = 0.5 * ((x - vol) ** 2).sum(axis=(0, 1))
     tv = np.abs(np.diff(x, axis=0)).sum(axis=(0, 1)) + np.abs(
         np.diff(x, axis=1)
     ).sum(axis=(0, 1))
     return quad + weight * tv
-
-
-def _prox_objective(x, vol, weight, temporal):
-    return 0.5 * float(((x - vol) ** 2).sum()) + weight * tv_penalty(x, temporal)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +246,7 @@ def spiral_solve(y, g, b, config=None, init=None):
         x = np.maximum(_as_volume(init), 0.0).copy()
 
     lam = convolve3d(g, x, b)
-    phi = _nll_of_lambda(lam, counts, floor) + beta * tv_penalty(
-        x, config.temporal_tv
-    )
+    phi = _nll_of_lambda(lam, counts, floor) + beta * tv_penalty(x)
     trace = [phi]
     alpha_lo, alpha_hi = config.step_bounds
     last_alpha = float(np.clip(config.step_init, alpha_lo, alpha_hi))
@@ -349,14 +271,11 @@ def spiral_solve(y, g, b, config=None, init=None):
         doublings = 0
         while True:
             x_new = prox_tv_nonneg(
-                x - grad / alpha, beta / alpha, config.tv_inner_iters,
-                config.temporal_tv,
+                x - grad / alpha, beta / alpha, config.tv_inner_iters
             )
             step_sq = float(np.vdot(x_new - x, x_new - x))
             lam_new = convolve3d(g, x_new, b)
-            phi_new = _nll_of_lambda(lam_new, counts, floor) + beta * tv_penalty(
-                x_new, config.temporal_tv
-            )
+            phi_new = _nll_of_lambda(lam_new, counts, floor) + beta * tv_penalty(x_new)
             if phi_new <= phi - config.accept_sigma * (alpha / 2.0) * step_sq:
                 break
             alpha *= config.backtrack_eta
@@ -399,38 +318,42 @@ def extract_depth_reflectivity(rd, window_half=0):
     bin); reflectivity sums the bins within window_half of k*. Pixels whose
     column is all zero are flagged invalid with reflectivity 0.
     """
-    if window_half < 0:
-        raise ValueError("negative window_half")
     data = rd.data
     k_star = np.argmax(data, axis=2)  # first maximum = smallest bin on ties
+    refl, _ = _window_sums(data, k_star, window_half)
     peak = np.take_along_axis(data, k_star[:, :, None], axis=2)[:, :, 0]
     valid = peak > 0
     depth = (rd.t0 + k_star * rd.bin_width) * (SPEED_OF_LIGHT / 2.0)
     depth = np.where(valid, depth, np.nan)
-    n_bins = data.shape[2]
+    refl = np.where(valid, refl, 0.0)
+    return Maps(depth=depth, reflectivity=refl, valid=valid)
+
+
+def _window_sums(data, k_star, window_half):
+    """Per-pixel sum of data over the bins within window_half of k_star,
+    clipped to the histogram; also returns each window's width in bins."""
+    if window_half < 0:
+        raise ValueError("negative window_half")
     lo = np.maximum(k_star - window_half, 0)
-    hi = np.minimum(k_star + window_half + 1, n_bins)
+    hi = np.minimum(k_star + window_half + 1, data.shape[2])
     csum = np.concatenate(
         [np.zeros(data.shape[:2] + (1,)), np.cumsum(data, axis=2)], axis=2
     )
-    refl = np.take_along_axis(csum, hi[:, :, None], axis=2)[
+    sums = np.take_along_axis(csum, hi[:, :, None], axis=2)[
         :, :, 0
     ] - np.take_along_axis(csum, lo[:, :, None], axis=2)[:, :, 0]
-    refl = np.where(valid, refl, 0.0)
-    return Maps(depth=depth, reflectivity=refl, valid=valid)
+    return sums, hi - lo
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 
-def save_volume(rd, path, extra_meta=None):
+def save_volume(rd, path):
     """Write a reconstructed volume as an SPR1 file plus sidecar."""
     from . import io
 
     meta = {"bin_width": float(rd.bin_width), "t0": float(rd.t0)}
-    if extra_meta:
-        meta.update(extra_meta)
     io.write_cube(path, rd.data.astype(np.float64), meta)
 
 

@@ -98,6 +98,8 @@ def test_ml_input_validation():
         pixelwise_ml(counts, gauss_template(), -0.5)
     with pytest.raises(ValueError):
         pixelwise_ml(counts, np.ones(11) / 11, 0.0)  # longer than histogram
+    with pytest.raises(ValueError):
+        pixelwise_ml(counts, gauss_template(), 0.0, window_half=-1)
 
 
 def test_estimate_background_recovers_level():

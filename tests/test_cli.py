@@ -148,6 +148,19 @@ def test_reconstruct_rerun_byte_identical(cube_path, tmp_path):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
+@pytest.mark.parametrize("method", ["ml", "noscan", "deconv3d"])
+@pytest.mark.parametrize("flag", [["--window-half", "-1"], ["--factor", "0"]],
+                         ids=["window-half", "factor"])
+def test_reconstruct_bad_setting_is_usage_error(cube_path, tmp_path, capsys,
+                                                method, flag):
+    out = tmp_path / "out"
+    rc = main(["reconstruct", str(cube_path), "--method", method, "-o", str(out)]
+              + flag)
+    assert rc == 2
+    assert not out.exists()  # rejected before any output is written
+    capsys.readouterr()
+
+
 def test_reconstruct_unknown_method_is_usage_error(cube_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([
@@ -242,6 +255,29 @@ def test_experiment_end_to_end(scene_dir, tmp_path):
     with open(out_a / "results.csv") as fh:
         lines = fh.read().strip().splitlines()
     assert len(lines) == 3  # header + 2 cells
+
+
+@pytest.mark.parametrize("method", ["ml", "noscan", "deconv3d"])
+def test_reconstruct_matches_experiment_cell(scene_dir, tmp_path, method):
+    raw = experiment_spec_dict(scene_dir)
+    raw["methods"] = [method]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(raw))
+    run = tmp_path / "run"
+    assert main(["experiment", str(spec_path), "-o", str(run)]) == 0
+    cell = run / "cells" / f"{method}_ppp8_seed0"
+    out = tmp_path / "cli"
+    assert main([
+        "reconstruct", str(run / "cubes" / "ppp8_seed0.sph1"), "-o", str(out),
+        "--method", method, "--beta", "0.05", "--max-iters", "3",
+    ]) == 0
+    names = ["depth.pgm", "depth.pgm.json", "reflectivity.pgm",
+             "reflectivity.pgm.json"]
+    if method == "deconv3d":
+        names += ["report.json", "volume.spr1", "volume.spr1.json"]
+    assert sorted(p.name for p in cell.iterdir()) == sorted(names)
+    for name in names:
+        assert filecmp.cmp(cell / name, out / name, shallow=False), name
 
 
 def test_experiment_beta_override(scene_dir, tmp_path):

@@ -133,6 +133,10 @@ def test_spec_validation():
         ExperimentSpec(**{**ok, "ppp": ()})
     with pytest.raises(ValueError):
         ExperimentSpec(**{**ok, "sbr": 0.0})
+    with pytest.raises(ValueError):
+        ExperimentSpec(**{**ok, "window_half": -1})
+    with pytest.raises(ValueError):
+        ExperimentSpec(**{**ok, "noscan_factor": 0})
 
 
 def test_spec_dict_round_trip(tmp_path):
