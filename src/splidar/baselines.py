@@ -45,8 +45,8 @@ def pixelwise_ml(y, g_t, b, window_half=None):
         raise ValueError(f"temporal kernel must be odd-length 1D, got {g.shape}")
     if g.size > counts.shape[2]:
         raise ValueError("temporal kernel longer than the histogram")
-    if b < 0:
-        raise ValueError("negative background")
+    if not np.isfinite(b) or b < 0:
+        raise ValueError(f"background must be finite and non-negative, got {b}")
     if window_half is None:
         window_half = g.size // 2
 
@@ -63,23 +63,6 @@ def pixelwise_ml(y, g_t, b, window_half=None):
     refl = np.maximum(in_window - b * width, 0.0)
     refl = np.where(valid, refl, 0.0)
     return Maps(depth=depth, reflectivity=refl, valid=valid)
-
-
-def estimate_background(y, g_t):
-    """Median bin count outside the per-pixel signal window.
-
-    Fallback for cubes with unknown background: bins within one kernel
-    length of each pixel's raw argmax are excluded, and the median is pooled
-    over everything that remains (global median if nothing remains).
-    """
-    counts, _, _ = _cube_parts(y)
-    g = np.asarray(g_t, dtype=np.float64)
-    k_star = np.argmax(counts, axis=2)
-    offsets = np.arange(counts.shape[2])[None, None, :]
-    outside = np.abs(offsets - k_star[:, :, None]) > g.size
-    if not outside.any():
-        return float(np.median(counts))
-    return float(np.median(counts[outside]))
 
 
 def reconstruct_no_scan(cube_coarse, upscale, window_half=None):

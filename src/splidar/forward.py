@@ -11,7 +11,7 @@ The temporal response g_t models total system jitter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
@@ -79,12 +79,16 @@ class Kernel:
     """Separable response g = spatial (2n+1)x(2n+1) outer temporal (odd m).
 
     Both factors are non-negative, symmetric about their centers, and sum
-    to 1, so the full 3D kernel also has unit mass.
+    to 1, so the full 3D kernel also has unit mass. The spatial factor must
+    be rank 1; its column and row vectors (col, row) are split off once here
+    and drive every convolution.
     """
 
     spatial: np.ndarray
     temporal: np.ndarray
     n: int
+    col: np.ndarray = field(init=False, repr=False)
+    row: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.spatial, dtype=np.float64)
@@ -102,8 +106,17 @@ class Kernel:
             t, t[::-1], atol=1e-12
         ):
             raise ValueError("kernel factors must be centrally symmetric")
+        u, sv, vt = np.linalg.svd(s)
+        if sv.size > 1 and sv[1] > 1e-12 * sv[0]:
+            raise ValueError("spatial factor must be rank 1 (separable)")
+        col, row = u[:, 0] * sv[0], vt[0]
+        # fix sign so both factors are non-negative
+        if col.sum() < 0:
+            col, row = -col, -row
         object.__setattr__(self, "spatial", s)
         object.__setattr__(self, "temporal", t)
+        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "row", row)
 
 
 def _sampled_gaussian(radius, sigma):
@@ -140,61 +153,26 @@ def make_kernel(config):
 # separable 3D convolution (zero-padded, "same" size) and its adjoint
 
 
-def _factor_rank1(spatial):
-    """Split a rank-1 2D kernel into row/column vectors, or return None."""
-    u, s, vt = np.linalg.svd(spatial)
-    if s.size > 1 and s[1] > 1e-12 * s[0]:
-        return None
-    col = u[:, 0] * s[0]
-    row = vt[0]
-    # fix sign so both factors are non-negative for non-negative kernels
-    if col.sum() < 0:
-        col, row = -col, -row
-    return col, row
-
-
-def convolve_separable(spatial, temporal, volume):
-    """Zero-padded "same" 3D convolution with kernel spatial (x) temporal.
-
-    spatial is 2D odd-sided, temporal 1D odd-length; volume is (H, W, T).
-    Exposed at array level so tests can drive asymmetric kernels directly.
-    """
-    spatial = np.asarray(spatial, dtype=np.float64)
-    temporal = np.asarray(temporal, dtype=np.float64)
-    vol = np.asarray(volume, dtype=np.float64)
+def _separable_passes(kernel, volume):
+    """Zero-padded "same" convolution of an (H, W, T) array with the kernel:
+    one 1D pass per axis (column, row, time)."""
+    vol = volume.data if isinstance(volume, RDVolume) else volume
+    vol = np.asarray(vol, dtype=np.float64)
     if vol.ndim != 3:
         raise ValueError(f"expected 3D volume, got {vol.shape}")
-    if spatial.ndim != 2 or spatial.shape[0] % 2 == 0 or spatial.shape[1] % 2 == 0:
-        raise ValueError(f"spatial kernel must be odd-sided 2D, got {spatial.shape}")
-    if temporal.ndim != 1 or temporal.size % 2 == 0:
-        raise ValueError(f"temporal kernel must be odd-length 1D, got {temporal.shape}")
-    if (
-        spatial.shape[0] > vol.shape[0]
-        or spatial.shape[1] > vol.shape[1]
-        or temporal.size > vol.shape[2]
-    ):
+    side, m = kernel.spatial.shape[0], kernel.temporal.size
+    if side > vol.shape[0] or side > vol.shape[1] or m > vol.shape[2]:
         raise ValueError(
-            f"kernel {spatial.shape}+{temporal.shape} larger than volume {vol.shape}"
+            f"kernel {kernel.spatial.shape}+{kernel.temporal.shape} "
+            f"larger than volume {vol.shape}"
         )
-    factors = _factor_rank1(spatial)
-    if factors is not None:
-        col, row = factors
-        out = ndimage.convolve1d(vol, col, axis=0, mode="constant", cval=0.0)
-        out = ndimage.convolve1d(out, row, axis=1, mode="constant", cval=0.0)
-    else:
-        out = ndimage.convolve(vol, spatial[:, :, None], mode="constant", cval=0.0)
-    if temporal.size > 1:
-        out = ndimage.convolve1d(out, temporal, axis=2, mode="constant", cval=0.0)
-    elif temporal[0] != 1.0:
-        out = out * temporal[0]
+    out = ndimage.convolve1d(vol, kernel.col, axis=0, mode="constant")
+    out = ndimage.convolve1d(out, kernel.row, axis=1, mode="constant")
+    if m > 1:
+        out = ndimage.convolve1d(out, kernel.temporal, axis=2, mode="constant")
+    elif kernel.temporal[0] != 1.0:
+        out = out * kernel.temporal[0]
     return out
-
-
-def correlate_separable(spatial, temporal, volume):
-    """Adjoint of convolve_separable: convolution with the flipped kernel."""
-    spatial = np.asarray(spatial, dtype=np.float64)
-    temporal = np.asarray(temporal, dtype=np.float64)
-    return convolve_separable(spatial[::-1, ::-1], temporal[::-1], volume)
 
 
 def convolve3d(kernel, volume, background_per_bin=0.0):
@@ -205,17 +183,16 @@ def convolve3d(kernel, volume, background_per_bin=0.0):
     """
     if background_per_bin < 0:
         raise ValueError("negative background_per_bin")
-    data = volume.data if isinstance(volume, RDVolume) else volume
-    out = convolve_separable(kernel.spatial, kernel.temporal, data)
+    out = _separable_passes(kernel, volume)
     if background_per_bin:
         out += background_per_bin
     return out
 
 
 def convolve3d_adjoint(kernel, volume):
-    """Backprojection: correlate with g (convolve with the flipped kernel)."""
-    data = volume.data if isinstance(volume, RDVolume) else volume
-    return correlate_separable(kernel.spatial, kernel.temporal, data)
+    """Backprojection: correlation with g. Kernel factors are centrally
+    symmetric, so this is the same convolution, without the background."""
+    return _separable_passes(kernel, volume)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +254,8 @@ class HistogramCube:
             raise ValueError(
                 f"counts have {c.shape[2]} bins, config says {self.config.n_bins}"
             )
-        if self.background_per_bin < 0:
-            raise ValueError("negative background_per_bin")
+        if not np.isfinite(self.background_per_bin) or self.background_per_bin < 0:
+            raise ValueError("background_per_bin must be finite and non-negative")
         object.__setattr__(self, "counts", c.astype(np.int64))
 
     @property

@@ -166,6 +166,8 @@ def write_cube(path, data, meta):
     if arr.size and arr.min() < 0:
         raise ValueError("cube values must be non-negative")
     if np.issubdtype(arr.dtype, np.integer):
+        if arr.size and arr.max() > np.iinfo(np.uint32).max:
+            raise ValueError("counts exceed the u32 range of a count cube")
         magic, payload = CUBE_MAGIC_COUNTS, arr.astype("<u4").tobytes()
     else:
         magic, payload = CUBE_MAGIC_FLOAT, arr.astype("<f4").tobytes()
@@ -188,19 +190,15 @@ def read_cube(path):
         raise ValueError(f"not a cube file (magic {magic!r}): {path}")
     dtype = np.dtype("<u4") if magic == CUBE_MAGIC_COUNTS else np.dtype("<f4")
     need = h * w * t * dtype.itemsize
-    raster = buf[_CUBE_HEADER.size : _CUBE_HEADER.size + need]
+    raster = buf[_CUBE_HEADER.size :]
     if len(raster) < need:
         raise ValueError(f"truncated cube raster: {path}")
+    if len(raster) > need:
+        raise ValueError(f"{len(raster) - need} bytes after the cube raster: {path}")
     data = np.frombuffer(raster, dtype=dtype).reshape(h, w, t)
     out_dtype = np.int64 if magic == CUBE_MAGIC_COUNTS else np.float64
     meta = read_json_sidecar(path)
     return data.astype(out_dtype), meta
-
-
-def cube_magic(path):
-    """Peek at the 4-byte magic without loading the raster."""
-    with open(path, "rb") as fh:
-        return fh.read(4)
 
 
 # ---------------------------------------------------------------------------

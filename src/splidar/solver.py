@@ -102,6 +102,10 @@ def _nll_of_lambda(lam, counts, floor):
     return float(np.sum(lam) - np.sum(counts * np.log(np.maximum(lam, floor))))
 
 
+def _nll_gradient_of_lambda(lam, counts, g, floor):
+    return convolve3d_adjoint(g, 1.0 - counts / np.maximum(lam, floor))
+
+
 def neg_log_likelihood(rd, y, g, b, epsilon_floor=1e-10):
     """Poisson fit term sum(Lambda - Y log Lambda), Lambda = g * rd + b.
 
@@ -122,8 +126,7 @@ def nll_gradient(rd, y, g, b, epsilon_floor=1e-10):
     counts = _as_counts(y)
     if x.shape != counts.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {counts.shape}")
-    lam = np.maximum(convolve3d(g, x, b), epsilon_floor)
-    return convolve3d_adjoint(g, 1.0 - counts / lam)
+    return _nll_gradient_of_lambda(convolve3d(g, x, b), counts, g, epsilon_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +238,10 @@ def spiral_solve(y, g, b, config=None, init=None):
     counts = _as_counts(y)
     if counts.ndim != 3:
         raise ValueError(f"expected 3D counts, got {counts.shape}")
-    if b < 0:
-        raise ValueError("negative background")
+    if not np.isfinite(counts).all():
+        raise ValueError("counts must be finite")
+    if not np.isfinite(b) or b < 0:
+        raise ValueError(f"background must be finite and non-negative, got {b}")
     floor = config.epsilon_floor
     beta = config.beta
 
@@ -257,7 +262,7 @@ def spiral_solve(y, g, b, config=None, init=None):
     rel_change = float("inf")
 
     for _ in range(config.max_iters):
-        grad = convolve3d_adjoint(g, 1.0 - counts / np.maximum(lam, floor))
+        grad = _nll_gradient_of_lambda(lam, counts, g, floor)
         if prev_x is None:
             alpha = last_alpha
         else:

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from splidar.baselines import (
-    estimate_background,
-    pixelwise_ml,
-    reconstruct_no_scan,
-)
+from splidar.baselines import pixelwise_ml, reconstruct_no_scan
 from splidar.forward import ScanConfig, coarsen, make_kernel, simulate
 from splidar.scene import SPEED_OF_LIGHT, Scene
 
@@ -96,22 +92,13 @@ def test_ml_input_validation():
         pixelwise_ml(counts, np.ones(4) / 4, 0.0)  # even length
     with pytest.raises(ValueError):
         pixelwise_ml(counts, gauss_template(), -0.5)
+    for b in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            pixelwise_ml(counts, gauss_template(), b)
     with pytest.raises(ValueError):
         pixelwise_ml(counts, np.ones(11) / 11, 0.0)  # longer than histogram
     with pytest.raises(ValueError):
         pixelwise_ml(counts, gauss_template(), 0.0, window_half=-1)
-
-
-def test_estimate_background_recovers_level():
-    rng = np.random.default_rng(3)
-    g = gauss_template()
-    flux = np.full((6, 6, 64), 1.5)
-    for i in range(6):
-        for j in range(6):
-            flux[i, j, 20 + 2 * i] += 30.0
-    y = rng.poisson(flux).astype(np.float64)
-    est = estimate_background(y, g)
-    assert abs(est - 1.5) <= 1.0  # median of Poisson(1.5) samples
 
 
 def test_no_scan_factor_one_is_pixelwise():

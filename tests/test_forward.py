@@ -1,6 +1,8 @@
 """Kernel construction, convolution semantics, calibration arithmetic, and
 Poisson sampling statistics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,6 @@ from splidar.forward import (
     coarsen,
     convolve3d,
     convolve3d_adjoint,
-    convolve_separable,
-    correlate_separable,
     load_cube,
     make_kernel,
     rayleigh_resolution,
@@ -111,6 +111,14 @@ def test_kernel_type_invariants():
         Kernel(spatial=np.ones((3, 3)) / 9, temporal=bad, n=1)
 
 
+def test_kernel_rejects_non_separable_spatial():
+    # centrally symmetric, non-negative, unit mass, but rank 3
+    with pytest.raises(ValueError, match="rank 1"):
+        Kernel(spatial=np.eye(3) / 3, temporal=np.ones(1), n=1)
+    k = make_kernel(ScanConfig(n=3))
+    np.testing.assert_allclose(np.outer(k.col, k.row), k.spatial, atol=1e-15)
+
+
 def test_zero_jitter_gives_temporal_delta():
     k = make_kernel(ScanConfig(n=1, jitter_fwhm=0.0))
     np.testing.assert_array_equal(k.temporal, [1.0])
@@ -121,6 +129,19 @@ def test_zero_jitter_gives_temporal_delta():
 
 def delta_kernel():
     return Kernel(spatial=np.ones((1, 1)), temporal=np.ones(1), n=0)
+
+
+def random_separable_kernel(rng, n, m):
+    """Random non-negative Kernel: outer product of two different centrally
+    symmetric vectors in space, a symmetric length-m vector in time."""
+
+    def sym(size):
+        v = rng.random(size)
+        return v + v[::-1]
+
+    spatial = np.outer(sym(2 * n + 1), sym(2 * n + 1))
+    temporal = sym(m)
+    return Kernel(spatial / spatial.sum(), temporal / temporal.sum(), n)
 
 
 def test_delta_kernel_is_identity():
@@ -152,15 +173,14 @@ def test_unit_voxel_reproduces_kernel_oracle():
     )
 
 
-def test_convolution_matches_brute_force_on_random_asymmetric_kernels():
+def test_convolution_matches_brute_force_on_random_separable_kernels():
     rng = np.random.default_rng(1)
-    for _ in range(5):
-        spatial = rng.random((3, 3))
-        temporal = rng.random(3)
+    for n, m in [(1, 3), (1, 5), (2, 3), (1, 1), (2, 5)]:
+        k = random_separable_kernel(rng, n, m)
         x = rng.random((6, 5, 7))
         np.testing.assert_allclose(
-            convolve_separable(spatial, temporal, x),
-            brute_force_conv3d(spatial, temporal, x),
+            convolve3d(k, x, 0.0),
+            brute_force_conv3d(k.spatial, k.temporal, x),
             atol=1e-12,
         )
 
@@ -183,17 +203,13 @@ def test_mass_conservation_interior_signal():
     assert abs(out.sum() - x.sum()) <= 1e-10 * x.sum()
 
 
-def test_adjoint_identity_symmetric_and_asymmetric():
+def test_adjoint_identity_on_gaussian_and_random_separable_kernels():
     rng = np.random.default_rng(4)
-    k = make_kernel(ScanConfig(n=2))
     u, v = rng.random((8, 7, 9)), rng.random((8, 7, 9))
-    lhs = np.vdot(convolve3d(k, u, 0.0), v)
-    rhs = np.vdot(u, convolve3d_adjoint(k, v))
-    assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
-    spatial, temporal = rng.random((5, 3)), rng.random(3)
-    lhs = np.vdot(convolve_separable(spatial, temporal, u), v)
-    rhs = np.vdot(u, correlate_separable(spatial, temporal, v))
-    assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
+    for k in (make_kernel(ScanConfig(n=2)), random_separable_kernel(rng, 2, 3)):
+        lhs = np.vdot(convolve3d(k, u, 0.0), v)
+        rhs = np.vdot(u, convolve3d_adjoint(k, v))
+        assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
 
 def test_kernel_larger_than_volume_errors():
@@ -325,6 +341,14 @@ def test_histogram_cube_validation():
             background_per_bin=0.0,
             rng_seed=0,
         )
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            HistogramCube(
+                counts=np.ones((2, 2, cfg.n_bins), dtype=np.int64),
+                config=cfg,
+                background_per_bin=bad,
+                rng_seed=0,
+            )
 
 
 def test_cube_save_load_round_trip(tmp_path):
@@ -338,6 +362,12 @@ def test_cube_save_load_round_trip(tmp_path):
     assert back.background_per_bin == cube.background_per_bin
     assert back.rng_seed == 9
     assert back.alpha == pytest.approx(cube.alpha)
+    sidecar = tmp_path / "cube.sph1.json"
+    meta = json.loads(sidecar.read_text())
+    meta["background_per_bin"] = float("nan")
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="finite"):
+        load_cube(p)
 
 
 def test_chart_simulation_shape():

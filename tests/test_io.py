@@ -74,7 +74,7 @@ def test_count_cube_round_trip(tmp_path):
     counts = rng.integers(0, 50, size=(4, 5, 6))
     p = tmp_path / "c.sph1"
     io.write_cube(p, counts, {"seed": 1})
-    assert io.cube_magic(p) == b"SPH1"
+    assert p.read_bytes()[:4] == b"SPH1"
     back, meta = io.read_cube(p)
     np.testing.assert_array_equal(back, counts)
     assert back.dtype == np.int64
@@ -97,7 +97,7 @@ def test_float_cube_round_trip(tmp_path):
     vol = rng.random((3, 4, 5)).astype(np.float32).astype(np.float64)
     p = tmp_path / "v.spr1"
     io.write_cube(p, vol, {"bin_width": 1e-9})
-    assert io.cube_magic(p) == b"SPR1"
+    assert p.read_bytes()[:4] == b"SPR1"
     back, meta = io.read_cube(p)
     np.testing.assert_array_equal(back, vol)
     assert meta["bin_width"] == 1e-9
@@ -106,6 +106,23 @@ def test_float_cube_round_trip(tmp_path):
 def test_cube_rejects_negative(tmp_path):
     with pytest.raises(ValueError):
         io.write_cube(tmp_path / "n.sph1", np.array([[[-1]]]), {})
+
+
+def test_count_cube_rejects_counts_beyond_u32(tmp_path):
+    p = tmp_path / "big.sph1"
+    io.write_cube(p, np.array([[[2**32 - 1]]]), {})
+    assert io.read_cube(p)[0].item() == 2**32 - 1
+    with pytest.raises(ValueError, match="u32"):
+        io.write_cube(tmp_path / "over.sph1", np.array([[[2**32 + 5]]]), {})
+    assert not (tmp_path / "over.sph1").exists()
+
+
+def test_read_cube_rejects_trailing_bytes(tmp_path):
+    p = tmp_path / "t.sph1"
+    io.write_cube(p, np.arange(6).reshape(1, 2, 3), {})
+    p.write_bytes(p.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="after the cube raster"):
+        io.read_cube(p)
 
 
 def test_map_round_trip_with_invalid_sentinel(tmp_path):

@@ -286,6 +286,13 @@ def test_solve_rejects_bad_inputs():
         spiral_solve(np.zeros((4, 4)), delta_kernel(), 0.0)
     with pytest.raises(ValueError):
         spiral_solve(np.zeros((4, 4, 4)), delta_kernel(), -1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            spiral_solve(np.ones((4, 4, 4)), delta_kernel(), bad)
+        counts = np.ones((4, 4, 4))
+        counts[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            spiral_solve(counts, delta_kernel(), 0.1)
 
 
 # --- extraction ---------------------------------------------------------
