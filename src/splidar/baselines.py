@@ -12,18 +12,11 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .forward import HistogramCube, make_kernel
+from .forward import make_kernel
 from .scene import SPEED_OF_LIGHT
-from .solver import Maps, _window_sums
+from .solver import Maps, _count_parts, _window_sums
 
 _LOG_FLOOR = 1e-12  # keeps log finite when the background is zero
-
-
-def _cube_parts(y):
-    if isinstance(y, HistogramCube):
-        cfg = y.config
-        return y.counts.astype(np.float64), cfg.bin_width, cfg.t0
-    return np.asarray(y, dtype=np.float64), 1.0, 0.0
 
 
 def pixelwise_ml(y, g_t, b, window_half=None):
@@ -37,9 +30,7 @@ def pixelwise_ml(y, g_t, b, window_half=None):
     window around the peak (default: the kernel half-width). Pixels with no
     counts at all are flagged invalid.
     """
-    counts, bin_width, t0 = _cube_parts(y)
-    if counts.ndim != 3:
-        raise ValueError(f"expected 3D counts, got {counts.shape}")
+    counts, bin_width, t0 = _count_parts(y)
     g = np.asarray(g_t, dtype=np.float64)
     if g.ndim != 1 or g.size % 2 == 0:
         raise ValueError(f"temporal kernel must be odd-length 1D, got {g.shape}")

@@ -263,29 +263,25 @@ class HistogramCube:
         return self.counts.shape
 
 
-def simulate(scene, config, ppp, sbr, seed, background_per_bin=None, alpha=None):
+def simulate(scene, config, ppp, sbr, seed, background_per_bin=None):
     """Sample a photon-count cube from a scene.
 
     Pipeline: spike volume -> kernel convolution -> flux calibration ->
     per-voxel Poisson draws. Each pixel gets its own child stream keyed by
     (seed, i, j), so counts are reproducible bit for bit regardless of
-    traversal or parallelism. Passing background_per_bin and/or alpha
-    bypasses the corresponding calibrated value (this is how an all-zero
-    scene can still produce pure-background data).
+    traversal or parallelism. Passing background_per_bin bypasses the
+    calibrated background (this is how an all-zero scene can still produce
+    pure-background data).
     """
     rd = scene_to_rd(scene, config.bin_width, config.n_bins, config.t0)
     kernel = make_kernel(config)
     flux = convolve3d(kernel, rd, 0.0)
-    if alpha is None:
-        total = flux.sum()
-        if total > 0:
-            alpha, calibrated_b = calibrate_flux(flux, ppp, sbr, config)
-        elif background_per_bin is not None:
-            alpha, calibrated_b = 0.0, None
-        else:
-            raise ValueError("all-zero signal flux cannot be calibrated")
+    if flux.sum() > 0:
+        alpha, calibrated_b = calibrate_flux(flux, ppp, sbr, config)
+    elif background_per_bin is not None:
+        alpha, calibrated_b = 0.0, None
     else:
-        calibrated_b = ppp / (sbr * sbr_window_bins(config))
+        raise ValueError("all-zero signal flux cannot be calibrated")
     if background_per_bin is None:
         background_per_bin = calibrated_b
     lam = alpha * flux + background_per_bin

@@ -205,23 +205,21 @@ def read_cube(path):
 # quantized 16-bit map export (depth / reflectivity with validity mask)
 
 
-def write_map(path, values, valid, kind, units, vmin=None, vmax=None):
+def write_map(path, values, valid, kind, units):
     """Export a 2D map as 16-bit graymap plus JSON scale sidecar.
 
-    Invalid pixels encode as 0; valid values map affinely from [vmin, vmax]
-    onto 1..65535. vmin/vmax default to the min/max over valid pixels; a
-    degenerate span encodes every valid pixel as 1.
+    Invalid pixels encode as 0; valid values map affinely from [vmin, vmax],
+    the min and max over valid pixels, onto 1..65535. A degenerate span
+    encodes every valid pixel as 1.
     """
     arr = np.asarray(values, dtype=np.float64)
     mask = np.asarray(valid, dtype=bool)
     if arr.shape != mask.shape or arr.ndim != 2:
         raise ValueError("map and mask must be 2D with equal shapes")
     if mask.any():
-        lo = float(arr[mask].min()) if vmin is None else float(vmin)
-        hi = float(arr[mask].max()) if vmax is None else float(vmax)
+        lo, hi = float(arr[mask].min()), float(arr[mask].max())
     else:
-        lo = 0.0 if vmin is None else float(vmin)
-        hi = 0.0 if vmax is None else float(vmax)
+        lo = hi = 0.0
     codes = np.zeros(arr.shape, dtype=np.int64)
     if mask.any():
         if hi > lo:

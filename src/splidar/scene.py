@@ -86,13 +86,14 @@ class ChartGroup:
     space_mask: np.ndarray = field(repr=False)
 
 
-def chart_layout(height=CHART_HEIGHT, width=CHART_WIDTH):
+def chart_layout():
     """Geometry of the resolution chart: six 3-bar groups, two rows of three.
 
     Group g has bars and spaces CHART_BAR_WIDTHS[g] pixels wide inside a
     square box of side 5w (three vertical bars, two spaces). Boxes are
     centered on a 2x3 grid. Returns the groups largest-width first.
     """
+    height, width = CHART_HEIGHT, CHART_WIDTH
     row_centers = (height // 4, (3 * height) // 4)
     col_centers = (width // 6, width // 2, (5 * width) // 6)
     groups = []
@@ -101,8 +102,6 @@ def chart_layout(height=CHART_HEIGHT, width=CHART_WIDTH):
         cx = col_centers[g % 3]
         side = 5 * w
         y0, x0 = cy - side // 2, cx - side // 2
-        if y0 < 0 or x0 < 0 or y0 + side > height or x0 + side > width:
-            raise ValueError(f"group {g} does not fit a {height}x{width} chart")
         bar = np.zeros((height, width), dtype=bool)
         space = np.zeros((height, width), dtype=bool)
         for m in range(5):

@@ -21,6 +21,11 @@ from .forward import HistogramCube, convolve3d, convolve3d_adjoint
 from .scene import SPEED_OF_LIGHT, RDVolume
 
 _PROX_TAU = 0.249  # dual ascent step, < 1/4 keeps the 2D fixed point stable
+_STEP_INIT = 1.0  # inverse step of the first iteration
+_STEP_BOUNDS = (1e-8, 1e8)  # every proposed inverse step is clamped here
+_BACKTRACK_ETA = 2.0  # inverse-step growth per rejected trial
+_ACCEPT_SIGMA = 0.1  # sufficient-decrease fraction
+_EPSILON_FLOOR = 1e-10  # floor on Lambda inside the log and the gradient ratio
 
 
 @dataclass(frozen=True)
@@ -28,25 +33,14 @@ class SolverConfig:
     beta: float = 0.1
     max_iters: int = 200
     rel_tol: float = 1e-4
-    step_init: float = 1.0
-    step_bounds: tuple = (1e-8, 1e8)
-    backtrack_eta: float = 2.0
-    accept_sigma: float = 0.1
     tv_inner_iters: int = 20
-    epsilon_floor: float = 1e-10
 
     def __post_init__(self):
-        object.__setattr__(self, "step_bounds", tuple(self.step_bounds))
-        lo, hi = self.step_bounds
-        if not (0 < lo <= hi):
-            raise ValueError(f"bad step bounds: {self.step_bounds}")
-        if not (0 < self.accept_sigma < 1):
-            raise ValueError(f"accept_sigma must be in (0,1): {self.accept_sigma}")
-        if self.backtrack_eta <= 1:
-            raise ValueError(f"backtrack_eta must exceed 1: {self.backtrack_eta}")
-        if self.epsilon_floor <= 0:
-            raise ValueError("epsilon_floor must be positive")
-        if self.beta < 0 or self.max_iters < 1 or self.tv_inner_iters < 0:
+        if not (np.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and non-negative: {self.beta}")
+        if not self.rel_tol >= 0:
+            raise ValueError(f"rel_tol must be non-negative: {self.rel_tol}")
+        if self.max_iters < 1 or self.tv_inner_iters < 0:
             raise ValueError("bad solver config")
 
     def to_dict(self):
@@ -54,12 +48,7 @@ class SolverConfig:
             "beta": float(self.beta),
             "max_iters": int(self.max_iters),
             "rel_tol": float(self.rel_tol),
-            "step_init": float(self.step_init),
-            "step_bounds": [float(self.step_bounds[0]), float(self.step_bounds[1])],
-            "backtrack_eta": float(self.backtrack_eta),
-            "accept_sigma": float(self.accept_sigma),
             "tv_inner_iters": int(self.tv_inner_iters),
-            "epsilon_floor": float(self.epsilon_floor),
         }
 
 
@@ -88,45 +77,55 @@ class Maps:
     valid: np.ndarray = field(repr=False)
 
 
-def _as_counts(y):
+def _count_parts(y):
+    """Counts as float64, with the cube's bin_width and t0 (1 and 0 for a
+    bare array). A HistogramCube already holds non-negative integers in 3D;
+    a bare array is checked here."""
     if isinstance(y, HistogramCube):
-        return y.counts.astype(np.float64)
-    return np.asarray(y, dtype=np.float64)
+        return y.counts.astype(np.float64), y.config.bin_width, y.config.t0
+    counts = np.asarray(y, dtype=np.float64)
+    if counts.ndim != 3:
+        raise ValueError(f"expected 3D counts, got {counts.shape}")
+    if not (np.isfinite(counts).all() and (counts >= 0).all()):
+        raise ValueError("counts must be finite and non-negative")
+    return counts, 1.0, 0.0
 
 
 def _as_volume(rd):
     return rd.data if isinstance(rd, RDVolume) else np.asarray(rd, dtype=np.float64)
 
 
-def _nll_of_lambda(lam, counts, floor):
-    return float(np.sum(lam) - np.sum(counts * np.log(np.maximum(lam, floor))))
+def _nll_of_lambda(lam, counts):
+    return float(
+        np.sum(lam) - np.sum(counts * np.log(np.maximum(lam, _EPSILON_FLOOR)))
+    )
 
 
-def _nll_gradient_of_lambda(lam, counts, g, floor):
-    return convolve3d_adjoint(g, 1.0 - counts / np.maximum(lam, floor))
+def _nll_gradient_of_lambda(lam, counts, g):
+    return convolve3d_adjoint(g, 1.0 - counts / np.maximum(lam, _EPSILON_FLOOR))
 
 
-def neg_log_likelihood(rd, y, g, b, epsilon_floor=1e-10):
+def neg_log_likelihood(rd, y, g, b):
     """Poisson fit term sum(Lambda - Y log Lambda), Lambda = g * rd + b.
 
     The constant log(Y!) is dropped; Lambda is floored inside the log so
     zero-flux bins stay finite.
     """
     x = _as_volume(rd)
-    counts = _as_counts(y)
+    counts, _, _ = _count_parts(y)
     if x.shape != counts.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {counts.shape}")
     lam = convolve3d(g, x, b)
-    return _nll_of_lambda(lam, counts, epsilon_floor)
+    return _nll_of_lambda(lam, counts)
 
 
-def nll_gradient(rd, y, g, b, epsilon_floor=1e-10):
+def nll_gradient(rd, y, g, b):
     """Gradient of the fit term: correlation of (1 - Y/Lambda) with g."""
     x = _as_volume(rd)
-    counts = _as_counts(y)
+    counts, _, _ = _count_parts(y)
     if x.shape != counts.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {counts.shape}")
-    return _nll_gradient_of_lambda(convolve3d(g, x, b), counts, g, epsilon_floor)
+    return _nll_gradient_of_lambda(convolve3d(g, x, b), counts, g)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +180,9 @@ def prox_tv_nonneg(v, weight, inner_iters=20):
         np.clip(p2, -1.0, 1.0, out=p2)
     _div2_into(p1, p2, u)
     x = np.maximum(vol - weight * u.astype(np.float64), 0.0)
-    worse = _slice_objectives(x, vol, weight) > _slice_objectives(clipped, vol, weight)
-    x[:, :, worse] = clipped[:, :, worse]
+    # "not <=" also replaces a slice whose float32 dual loop overflowed to NaN
+    ok = _slice_objectives(x, vol, weight) <= _slice_objectives(clipped, vol, weight)
+    x[:, :, ~ok] = clipped[:, :, ~ok]
     return x
 
 
@@ -221,10 +221,10 @@ def spiral_solve(y, g, b, config=None, init=None):
     Each iteration takes a gradient step scaled by an inverse step alpha and
     applies the TV prox:  x+ = prox(x - grad/alpha, beta/alpha). alpha starts
     at the Barzilai-Borwein curvature ratio <dx, dgrad> / <dx, dx> (clamped
-    to step_bounds; falls back to the previous accepted alpha when the ratio
-    is not positive) and grows by backtrack_eta until
+    to [1e-8, 1e8]; falls back to the previous accepted alpha, initially 1,
+    when the ratio is not positive) and doubles until
 
-        Phi(x+) <= Phi(x) - accept_sigma * (alpha/2) * ||x+ - x||^2,
+        Phi(x+) <= Phi(x) - 0.1 * (alpha/2) * ||x+ - x||^2,
 
     which makes the objective trace non-increasing by construction. Stops on
     relative change < rel_tol or after max_iters. Default initialization is
@@ -235,26 +235,26 @@ def spiral_solve(y, g, b, config=None, init=None):
     """
     if config is None:
         config = SolverConfig()
-    counts = _as_counts(y)
-    if counts.ndim != 3:
-        raise ValueError(f"expected 3D counts, got {counts.shape}")
-    if not np.isfinite(counts).all():
-        raise ValueError("counts must be finite")
+    counts, bin_width, t0 = _count_parts(y)
     if not np.isfinite(b) or b < 0:
         raise ValueError(f"background must be finite and non-negative, got {b}")
-    floor = config.epsilon_floor
     beta = config.beta
 
     if init is None:
         x = convolve3d_adjoint(g, np.maximum(counts - b, 0.0))
     else:
-        x = np.maximum(_as_volume(init), 0.0).copy()
+        x = _as_volume(init)
+        if x.shape != counts.shape:
+            raise ValueError(f"init shape {x.shape} != counts shape {counts.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("init must be finite")
+        x = np.maximum(x, 0.0)
 
     lam = convolve3d(g, x, b)
-    phi = _nll_of_lambda(lam, counts, floor) + beta * tv_penalty(x)
+    phi = _nll_of_lambda(lam, counts) + beta * tv_penalty(x)
     trace = [phi]
-    alpha_lo, alpha_hi = config.step_bounds
-    last_alpha = float(np.clip(config.step_init, alpha_lo, alpha_hi))
+    alpha_lo, alpha_hi = _STEP_BOUNDS
+    last_alpha = _STEP_INIT
     prev_x = None
     prev_grad = None
     iterations = 0
@@ -262,7 +262,7 @@ def spiral_solve(y, g, b, config=None, init=None):
     rel_change = float("inf")
 
     for _ in range(config.max_iters):
-        grad = _nll_gradient_of_lambda(lam, counts, g, floor)
+        grad = _nll_gradient_of_lambda(lam, counts, g)
         if prev_x is None:
             alpha = last_alpha
         else:
@@ -280,10 +280,10 @@ def spiral_solve(y, g, b, config=None, init=None):
             )
             step_sq = float(np.vdot(x_new - x, x_new - x))
             lam_new = convolve3d(g, x_new, b)
-            phi_new = _nll_of_lambda(lam_new, counts, floor) + beta * tv_penalty(x_new)
-            if phi_new <= phi - config.accept_sigma * (alpha / 2.0) * step_sq:
+            phi_new = _nll_of_lambda(lam_new, counts) + beta * tv_penalty(x_new)
+            if phi_new <= phi - _ACCEPT_SIGMA * (alpha / 2.0) * step_sq:
                 break
-            alpha *= config.backtrack_eta
+            alpha *= _BACKTRACK_ETA
             doublings += 1
             if doublings > 50:
                 raise RuntimeError(
@@ -292,7 +292,7 @@ def spiral_solve(y, g, b, config=None, init=None):
                     f"inconsistent with the data scale"
                 )
 
-        rel_change = np.sqrt(step_sq) / max(float(np.linalg.norm(x)), floor)
+        rel_change = np.sqrt(step_sq) / max(float(np.linalg.norm(x)), _EPSILON_FLOOR)
         prev_x, prev_grad = x, grad
         x, lam, phi = x_new, lam_new, phi_new
         last_alpha = alpha
@@ -302,10 +302,6 @@ def spiral_solve(y, g, b, config=None, init=None):
             converged = True
             break
 
-    if isinstance(y, HistogramCube):
-        bin_width, t0 = y.config.bin_width, y.config.t0
-    else:
-        bin_width, t0 = 1.0, 0.0
     volume = RDVolume(data=x, bin_width=bin_width, t0=t0)
     report = SolveReport(
         objective_trace=trace,

@@ -1,11 +1,26 @@
 """Shared fixtures: a synthetic natural scene saved through the real file
 formats, plus cached experiment runs that several tests score."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from splidar import ScanConfig, Scene, save_scene
 from splidar.scene import load_scene_dir
+
+# Property tests draw the same examples on every run and keep no example
+# database, so tier-1 stays reproducible. Hypothesis still caches the
+# constants it mines from source files; that cache goes to a directory
+# removed at exit instead of .hypothesis/ in the working tree.
+settings.register_profile(
+    "splidar", derandomize=True, database=None, deadline=None, max_examples=40
+)
+settings.load_profile("splidar")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_HOME.name)
 
 ACCEPTANCE_VERDICTS = []
 

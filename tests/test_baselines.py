@@ -95,6 +95,14 @@ def test_ml_input_validation():
     for b in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             pixelwise_ml(counts, gauss_template(), b)
+        bad_counts = counts.copy()
+        bad_counts[1, 0, 4] = b
+        with pytest.raises(ValueError, match="finite"):
+            pixelwise_ml(bad_counts, gauss_template(), 0.0)
+    bad_counts = counts.copy()
+    bad_counts[0, 1, 3] = -1.0
+    with pytest.raises(ValueError, match="non-negative"):
+        pixelwise_ml(bad_counts, gauss_template(), 0.0)
     with pytest.raises(ValueError):
         pixelwise_ml(counts, np.ones(11) / 11, 0.0)  # longer than histogram
     with pytest.raises(ValueError):

@@ -149,8 +149,9 @@ def test_reconstruct_rerun_byte_identical(cube_path, tmp_path):
 
 
 @pytest.mark.parametrize("method", ["ml", "noscan", "deconv3d"])
-@pytest.mark.parametrize("flag", [["--window-half", "-1"], ["--factor", "0"]],
-                         ids=["window-half", "factor"])
+@pytest.mark.parametrize("flag", [["--window-half", "-1"], ["--factor", "0"],
+                                  ["--beta", "nan"]],
+                         ids=["window-half", "factor", "beta-nan"])
 def test_reconstruct_bad_setting_is_usage_error(cube_path, tmp_path, capsys,
                                                 method, flag):
     out = tmp_path / "out"
@@ -301,6 +302,12 @@ def test_experiment_bad_spec_is_usage_error(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"scene": {"kind": "chart"}, "ppp": [1]}))
     assert main(["experiment", str(wrong), "-o", str(tmp_path / "o")]) == 2
+    stale = tmp_path / "stale.json"  # a solver key that SolverConfig no longer has
+    raw = experiment_spec_dict(tmp_path)
+    raw["solver"]["step_init"] = 1.0
+    stale.write_text(json.dumps(raw))
+    assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
     capsys.readouterr()
 
 

@@ -363,10 +363,16 @@ def test_cube_save_load_round_trip(tmp_path):
     assert back.rng_seed == 9
     assert back.alpha == pytest.approx(cube.alpha)
     sidecar = tmp_path / "cube.sph1.json"
-    meta = json.loads(sidecar.read_text())
+    good = sidecar.read_text()
+    meta = json.loads(good)
     meta["background_per_bin"] = float("nan")
     sidecar.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="finite"):
+        load_cube(p)
+    meta = json.loads(good)
+    meta["config"]["n_bins"] += 1  # sidecar disagrees with the raster
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="bins"):
         load_cube(p)
 
 

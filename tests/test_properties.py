@@ -1,0 +1,112 @@
+"""Property tests: the adjoint identity, the TV prox guarantees and file
+round trips, each on shapes and values drawn by Hypothesis (profile in
+conftest.py: derandomized, no example database)."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from splidar import io
+from splidar.forward import convolve3d, convolve3d_adjoint
+from splidar.solver import prox_tv_nonneg
+
+from test_forward import random_separable_kernel
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def kernels_and_shapes(draw):
+    n = draw(st.integers(0, 2))
+    m = 2 * draw(st.integers(0, 3)) + 1
+    side = 2 * n + 1
+    shape = (draw(st.integers(side, side + 6)), draw(st.integers(side, side + 6)),
+             draw(st.integers(m, m + 8)))
+    return n, m, shape
+
+
+@given(kernels_and_shapes(), seeds)
+def test_adjoint_identity_on_random_kernels_and_shapes(geometry, seed):
+    n, m, shape = geometry
+    rng = np.random.default_rng(seed)
+    k = random_separable_kernel(rng, n, m)
+    u, v = rng.random(shape), rng.random(shape)
+    lhs = np.vdot(convolve3d(k, u, 0.0), v)
+    rhs = np.vdot(u, convolve3d_adjoint(k, v))
+    assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+def _slice_objective(x, v, weight):
+    """0.5 ||x - v||^2 + weight * TV(x), one value per time slice."""
+    tv = np.abs(np.diff(x, axis=0)).sum(axis=(0, 1)) + np.abs(
+        np.diff(x, axis=1)
+    ).sum(axis=(0, 1))
+    return 0.5 * ((x - v) ** 2).sum(axis=(0, 1)) + weight * tv
+
+
+@given(
+    hnp.array_shapes(min_dims=3, max_dims=3, max_side=8),
+    seeds,
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 5.0),
+    st.integers(0, 30),
+)
+def test_prox_nonnegative_and_never_worse_than_projection(shape, seed, scale,
+                                                         weight, inner_iters):
+    v = scale * np.random.default_rng(seed).standard_normal(shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # v / weight may overflow
+        x = prox_tv_nonneg(v, weight, inner_iters)
+    clipped = np.maximum(v, 0.0)
+    assert x.shape == v.shape
+    assert (x >= 0).all()
+    bound = _slice_objective(clipped, v, weight)
+    assert (_slice_objective(x, v, weight) <= bound + 1e-12 * np.abs(bound)).all()
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+               elements=finite),
+    st.data(),
+)
+def test_map_round_trip_within_half_a_code_step(values, data):
+    valid = data.draw(hnp.arrays(bool, values.shape))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "m.pgm"
+        io.write_map(p, values, valid, kind="depth", units="m")
+        back, back_valid, meta = io.read_map(p)
+    np.testing.assert_array_equal(back_valid, valid)
+    assert (back[~valid] == 0).all()
+    if valid.any():
+        lo, hi = values[valid].min(), values[valid].max()
+        assert (meta["vmin"], meta["vmax"]) == (lo, hi)
+        half_step = (hi - lo) / (io.MAP_LEVELS - 1) / 2
+        slack = 8 * np.spacing(max(abs(lo), abs(hi)))
+        assert (np.abs(back[valid] - values[valid]) <= half_step + slack).all()
+
+
+cube_shapes = hnp.array_shapes(min_dims=3, max_dims=3, min_side=0, max_side=5)
+
+
+@given(
+    st.one_of(
+        hnp.arrays(np.uint32, cube_shapes),
+        hnp.arrays(np.float32, cube_shapes,
+                   elements=st.floats(0, float(np.finfo(np.float32).max), width=32)),
+    )
+)
+def test_cube_round_trip_is_exact(data):
+    meta = {"source": "property test", "shape": list(data.shape)}
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "c.cube"
+        io.write_cube(p, data, meta)
+        back, back_meta = io.read_cube(p)
+    assert back.dtype == (np.int64 if data.dtype == np.uint32 else np.float64)
+    np.testing.assert_array_equal(back, data)
+    assert back_meta == meta

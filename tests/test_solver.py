@@ -214,13 +214,14 @@ def test_prox_1d_column_certified_near_optimal():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(step_bounds=(1.0, 0.5))
-    with pytest.raises(ValueError):
-        SolverConfig(accept_sigma=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(backtrack_eta=1.0)
-    with pytest.raises(ValueError):
         SolverConfig(beta=-1.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="beta"):
+            SolverConfig(beta=bad)
+    for bad in (-1e-4, float("nan")):
+        with pytest.raises(ValueError, match="rel_tol"):
+            SolverConfig(rel_tol=bad)
+    assert SolverConfig(rel_tol=0.0).rel_tol == 0.0
 
 
 def test_solve_identity_model_recovers_counts():
@@ -293,6 +294,17 @@ def test_solve_rejects_bad_inputs():
         counts[1, 2, 3] = bad
         with pytest.raises(ValueError, match="finite"):
             spiral_solve(counts, delta_kernel(), 0.1)
+        init = np.ones((4, 4, 4))
+        init[0, 1, 2] = bad
+        with pytest.raises(ValueError, match="init must be finite"):
+            spiral_solve(np.ones((4, 4, 4)), delta_kernel(), 0.1, init=init)
+    counts = np.ones((4, 4, 4))
+    counts[2, 2, 2] = -1.0
+    with pytest.raises(ValueError, match="non-negative"):
+        spiral_solve(counts, delta_kernel(), 0.1)
+    with pytest.raises(ValueError, match="shape"):  # would broadcast
+        spiral_solve(np.ones((4, 4, 4)), delta_kernel(), 0.1,
+                     init=np.ones((4, 4, 1)))
 
 
 # --- extraction ---------------------------------------------------------
