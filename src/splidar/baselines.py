@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .forward import make_kernel
-from .scene import SPEED_OF_LIGHT
-from .solver import Maps, _count_parts, _window_sums
+from .forward import coarsen, make_kernel
+from .solver import Maps, _count_parts, _peak_maps, _window_sums
 
 _LOG_FLOOR = 1e-12  # keeps log finite when the background is zero
 
@@ -30,14 +29,12 @@ def pixelwise_ml(y, g_t, b, window_half=None):
     window around the peak (default: the kernel half-width). Pixels with no
     counts at all are flagged invalid.
     """
-    counts, bin_width, t0 = _count_parts(y)
+    counts, bin_width, t0 = _count_parts(y, b)
     g = np.asarray(g_t, dtype=np.float64)
     if g.ndim != 1 or g.size % 2 == 0:
         raise ValueError(f"temporal kernel must be odd-length 1D, got {g.shape}")
     if g.size > counts.shape[2]:
         raise ValueError("temporal kernel longer than the histogram")
-    if not np.isfinite(b) or b < 0:
-        raise ValueError(f"background must be finite and non-negative, got {b}")
     if window_half is None:
         window_half = g.size // 2
 
@@ -46,32 +43,24 @@ def pixelwise_ml(y, g_t, b, window_half=None):
     score = ndimage.correlate1d(counts, template, axis=2, mode="constant", cval=0.0)
     k_star = np.argmax(score, axis=2)  # ties take the smallest bin
 
-    valid = counts.sum(axis=2) > 0
-    depth = (t0 + k_star * bin_width) * (SPEED_OF_LIGHT / 2.0)
-    depth = np.where(valid, depth, np.nan)
-
     in_window, width = _window_sums(counts, k_star, window_half)
     refl = np.maximum(in_window - b * width, 0.0)
-    refl = np.where(valid, refl, 0.0)
-    return Maps(depth=depth, reflectivity=refl, valid=valid)
+    return _peak_maps(k_star, refl, counts.sum(axis=2) > 0, t0, bin_width)
 
 
-def reconstruct_no_scan(cube_coarse, upscale, window_half=None):
-    """Conventional-scan reference: per-pixel estimates on a coarsened cube,
-    nearest-neighbor upsampled so maps compare like for like with the
-    sub-pixel methods. Kernel and background come from the cube metadata.
+def reconstruct_no_scan(cube, factor, window_half=None):
+    """Conventional-scan reference: per-pixel estimates on the cube coarsened
+    by factor, nearest-neighbor upsampled so maps compare like for like with
+    the sub-pixel methods. Kernel and background come from the cube metadata.
     """
-    if int(upscale) != upscale or upscale < 1:
-        raise ValueError(f"upscale must be an integer >= 1, got {upscale}")
-    upscale = int(upscale)
-    g_t = make_kernel(cube_coarse.config).temporal
-    maps = pixelwise_ml(
-        cube_coarse, g_t, cube_coarse.background_per_bin, window_half=window_half
-    )
+    coarse = coarsen(cube, factor)
+    factor = int(factor)
+    g_t = make_kernel(coarse.config).temporal
+    maps = pixelwise_ml(coarse, g_t, coarse.background_per_bin, window_half=window_half)
     return Maps(
-        depth=_nn_upsample(maps.depth, upscale),
-        reflectivity=_nn_upsample(maps.reflectivity, upscale),
-        valid=_nn_upsample(maps.valid, upscale),
+        depth=_nn_upsample(maps.depth, factor),
+        reflectivity=_nn_upsample(maps.reflectivity, factor),
+        valid=_nn_upsample(maps.valid, factor),
     )
 
 

@@ -93,7 +93,6 @@ def _build_parser():
     p.add_argument("--beta", type=float, default=0.1, help="TV weight")
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--rel-tol", type=float, default=1e-4)
-    p.add_argument("--tv-iters", type=int, default=20)
     p.add_argument("--window-half", type=int, default=None,
                    help="reflectivity window (bins, default kernel half-width)")
     p.add_argument("--factor", type=int, default=None,
@@ -158,10 +157,7 @@ def _cmd_reconstruct(args):
         raise _UsageError(f"--factor must be >= 1, got {args.factor}")
     try:
         solver = SolverConfig(
-            beta=args.beta,
-            max_iters=args.max_iters,
-            rel_tol=args.rel_tol,
-            tv_inner_iters=args.tv_iters,
+            beta=args.beta, max_iters=args.max_iters, rel_tol=args.rel_tol
         )
     except ValueError as exc:
         raise _UsageError(f"invalid solver settings: {exc}")
@@ -173,9 +169,7 @@ def _cmd_reconstruct(args):
     out.mkdir(parents=True, exist_ok=True)
     save_cell_outputs(out, maps, report, volume)
     effective = {"method": args.method, "cube": Path(args.cube).name, **settings}
-    (out / "reconstruct.json").write_text(
-        json.dumps(effective, sort_keys=True, indent=2) + "\n", encoding="ascii"
-    )
+    io.write_json(out / "reconstruct.json", effective)
     print(f"wrote maps to {out}")
     return 0
 
@@ -215,7 +209,7 @@ def _cmd_render(args):
 
 def _cmd_experiment(args):
     try:
-        raw = json.loads(Path(args.spec).read_text(encoding="ascii"))
+        raw = io.read_json(args.spec)
     except FileNotFoundError:
         raise _UsageError(f"spec file not found: {args.spec}")
     except json.JSONDecodeError as exc:

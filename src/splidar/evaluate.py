@@ -9,7 +9,6 @@ timings file so the scored outputs are byte-identical across reruns.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import io
 from .baselines import pixelwise_ml, reconstruct_no_scan
-from .forward import ScanConfig, coarsen, make_kernel, save_cube, simulate
+from .forward import ScanConfig, make_kernel, save_cube, simulate
 from .scene import SPEED_OF_LIGHT, chart_layout, load_scene_dir, make_resolution_chart
 from .solver import SolverConfig, extract_depth_reflectivity, save_volume, spiral_solve
 
@@ -181,8 +180,7 @@ def reconstruct_cell(cube, method, solver, window_half=None, noscan_factor=None)
     if method == "noscan":
         factor = noscan_factor if noscan_factor is not None else 2 * cube.config.n
         settings["factor"] = int(factor)
-        coarse = coarsen(cube, factor)
-        maps = reconstruct_no_scan(coarse, factor, window_half=window_half)
+        maps = reconstruct_no_scan(cube, factor, window_half=window_half)
         return maps, None, None, settings
     if method == "deconv3d":
         settings["solver"] = solver.to_dict()
@@ -280,10 +278,7 @@ def save_cell_outputs(cell_dir, maps, report, volume):
         units="relative",
     )
     if report is not None:
-        (cell_dir / "report.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="ascii",
-        )
+        io.write_json(cell_dir / "report.json", report.to_dict())
     if volume is not None:
         save_volume(volume, cell_dir / "volume.spr1")
 
@@ -300,7 +295,4 @@ def _write_manifest(out, spec):
     for p in sorted(out.rglob("*")):
         if p.is_file() and p.name not in ("timings.csv", "manifest.json"):
             hashes[str(p.relative_to(out))] = io.sha256_file(p)
-    manifest = {"spec": spec.to_dict(), "outputs": hashes}
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="ascii"
-    )
+    io.write_json(out / "manifest.json", {"spec": spec.to_dict(), "outputs": hashes})

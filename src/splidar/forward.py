@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import ndimage
 
-from .scene import RDVolume, scene_to_rd
+from . import io
+from .scene import _as_volume, scene_to_rd
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -137,8 +138,6 @@ def make_kernel(config):
     FWHM = jitter_fwhm/bin_width bins, truncated at +-3 sigma (odd length),
     renormalized. jitter_fwhm = 0 degenerates to a one-bin spike.
     """
-    if config.n < 1:
-        raise ValueError("n must be >= 1")
     sigma_xy = config.fov_fwhm_pixels * _FWHM_TO_SIGMA
     g1 = _sampled_gaussian(config.n, sigma_xy)
     spatial = np.outer(g1, g1)
@@ -156,8 +155,7 @@ def make_kernel(config):
 def _separable_passes(kernel, volume):
     """Zero-padded "same" convolution of an (H, W, T) array with the kernel:
     one 1D pass per axis (column, row, time)."""
-    vol = volume.data if isinstance(volume, RDVolume) else volume
-    vol = np.asarray(vol, dtype=np.float64)
+    vol = _as_volume(volume)
     if vol.ndim != 3:
         raise ValueError(f"expected 3D volume, got {vol.shape}")
     side, m = kernel.spatial.shape[0], kernel.temporal.size
@@ -168,11 +166,7 @@ def _separable_passes(kernel, volume):
         )
     out = ndimage.convolve1d(vol, kernel.col, axis=0, mode="constant")
     out = ndimage.convolve1d(out, kernel.row, axis=1, mode="constant")
-    if m > 1:
-        out = ndimage.convolve1d(out, kernel.temporal, axis=2, mode="constant")
-    elif kernel.temporal[0] != 1.0:
-        out = out * kernel.temporal[0]
-    return out
+    return ndimage.convolve1d(out, kernel.temporal, axis=2, mode="constant")
 
 
 def convolve3d(kernel, volume, background_per_bin=0.0):
@@ -263,27 +257,18 @@ class HistogramCube:
         return self.counts.shape
 
 
-def simulate(scene, config, ppp, sbr, seed, background_per_bin=None):
+def simulate(scene, config, ppp, sbr, seed):
     """Sample a photon-count cube from a scene.
 
     Pipeline: spike volume -> kernel convolution -> flux calibration ->
     per-voxel Poisson draws. Each pixel gets its own child stream keyed by
     (seed, i, j), so counts are reproducible bit for bit regardless of
-    traversal or parallelism. Passing background_per_bin bypasses the
-    calibrated background (this is how an all-zero scene can still produce
-    pure-background data).
+    traversal or parallelism.
     """
     rd = scene_to_rd(scene, config.bin_width, config.n_bins, config.t0)
     kernel = make_kernel(config)
     flux = convolve3d(kernel, rd, 0.0)
-    if flux.sum() > 0:
-        alpha, calibrated_b = calibrate_flux(flux, ppp, sbr, config)
-    elif background_per_bin is not None:
-        alpha, calibrated_b = 0.0, None
-    else:
-        raise ValueError("all-zero signal flux cannot be calibrated")
-    if background_per_bin is None:
-        background_per_bin = calibrated_b
+    alpha, background_per_bin = calibrate_flux(flux, ppp, sbr, config)
     lam = alpha * flux + background_per_bin
     counts = np.empty(lam.shape, dtype=np.int64)
     for i in range(lam.shape[0]):
@@ -318,8 +303,6 @@ def coarsen(cube, factor):
 def save_cube(cube, path):
     """Write counts as an SPH1 file plus a sidecar with the acquisition
     metadata needed to reconstruct from it."""
-    from . import io
-
     meta = {
         "config": cube.config.to_dict(),
         "background_per_bin": float(cube.background_per_bin),
@@ -330,11 +313,7 @@ def save_cube(cube, path):
 
 
 def load_cube(path):
-    from . import io
-
     data, meta = io.read_cube(path)
-    if meta is None:
-        raise ValueError(f"cube sidecar missing: {path}.json")
     config = ScanConfig(**meta["config"])
     alpha = meta.get("alpha")
     return HistogramCube(

@@ -177,10 +177,9 @@ def write_cube(path, data, meta):
 
 
 def read_cube(path):
-    """Read an SPH1/SPR1 cube. Returns (data, meta dict or None).
+    """Read an SPH1/SPR1 cube and its required sidecar. Returns (data, meta).
 
-    SPH1 yields int64 counts, SPR1 float64 values. The sidecar is optional on
-    read; callers that need acquisition metadata must check for None.
+    SPH1 yields int64 counts, SPR1 float64 values.
     """
     buf = Path(path).read_bytes()
     if len(buf) < _CUBE_HEADER.size:
@@ -238,8 +237,8 @@ def read_map(path):
     """Inverse of write_map. Returns (values, valid mask, meta dict)."""
     codes, maxval = read_pgm(path)
     meta = read_json_sidecar(path)
-    if meta is None or "vmin" not in meta or "vmax" not in meta:
-        raise ValueError(f"map sidecar missing or incomplete: {path}.json")
+    if "vmin" not in meta or "vmax" not in meta:
+        raise ValueError(f"map sidecar incomplete: {path}.json")
     valid = codes != MAP_INVALID
     lo, hi = float(meta["vmin"]), float(meta["vmax"])
     values = np.zeros(codes.shape, dtype=np.float64)
@@ -251,20 +250,32 @@ def read_map(path):
 
 
 # ---------------------------------------------------------------------------
-# sidecars, hashing
+# JSON files, sidecars, hashing
+
+
+def write_json(path, obj):
+    """Write obj as deterministic JSON: sorted keys, indent 2, ASCII, and a
+    trailing newline."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    Path(path).write_text(text, encoding="ascii")
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text(encoding="ascii"))
 
 
 def write_json_sidecar(path, meta):
     """Write meta as deterministic JSON next to path (path + ".json")."""
-    text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
-    Path(str(path) + ".json").write_text(text, encoding="ascii")
+    write_json(str(path) + ".json", meta)
 
 
 def read_json_sidecar(path):
+    """The JSON object next to path; a missing or null sidecar is an error."""
     sidecar = Path(str(path) + ".json")
-    if not sidecar.exists():
-        return None
-    return json.loads(sidecar.read_text(encoding="ascii"))
+    meta = read_json(sidecar) if sidecar.exists() else None
+    if meta is None:
+        raise ValueError(f"sidecar missing or null: {sidecar}")
+    return meta
 
 
 def sha256_file(path):

@@ -8,7 +8,6 @@ round-trip delay, producing the sparse 3D volume the forward model convolves.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,8 +63,8 @@ class RDVolume:
         d = np.asarray(self.data, dtype=np.float64)
         if d.ndim != 3:
             raise ValueError(f"expected 3D data, got shape {d.shape}")
-        if d.size and d.min() < 0:
-            raise ValueError("negative volume entry")
+        if d.size and not (d.min() >= 0 and np.isfinite(d.max())):
+            raise ValueError("volume entries must be finite and non-negative")
         if self.bin_width <= 0:
             raise ValueError("bin_width must be positive")
         object.__setattr__(self, "data", d)
@@ -77,6 +76,11 @@ class RDVolume:
     @property
     def n_bins(self):
         return self.data.shape[2]
+
+
+def _as_volume(rd):
+    """The float64 array of an RDVolume or of a bare array."""
+    return rd.data if isinstance(rd, RDVolume) else np.asarray(rd, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -244,9 +248,7 @@ def save_scene(scene, out_dir, bin_width, t0=0.0):
         "d_min": float(scene.depth.min()),
         "d_max": float(scene.depth.max()),
     }
-    (out / "meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="ascii"
-    )
+    io.write_json(out / "meta.json", meta)
 
 
 def load_scene_dir(scene_dir):
@@ -255,7 +257,7 @@ def load_scene_dir(scene_dir):
     meta_path = d / "meta.json"
     if not meta_path.exists():
         raise ValueError(f"not a scene directory (no meta.json): {scene_dir}")
-    meta = json.loads(meta_path.read_text(encoding="ascii"))
+    meta = io.read_json(meta_path)
     scene = load_scene(
         d / "reflectivity.pgm",
         d / "depth.pfm",

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import io
 from .forward import HistogramCube, convolve3d, convolve3d_adjoint
-from .scene import SPEED_OF_LIGHT, RDVolume
+from .scene import SPEED_OF_LIGHT, RDVolume, _as_volume
 
 _PROX_TAU = 0.249  # dual ascent step, < 1/4 keeps the 2D fixed point stable
 _STEP_INIT = 1.0  # inverse step of the first iteration
@@ -33,22 +34,21 @@ class SolverConfig:
     beta: float = 0.1
     max_iters: int = 200
     rel_tol: float = 1e-4
-    tv_inner_iters: int = 20
 
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be finite and non-negative: {self.beta}")
         if not self.rel_tol >= 0:
             raise ValueError(f"rel_tol must be non-negative: {self.rel_tol}")
-        if self.max_iters < 1 or self.tv_inner_iters < 0:
-            raise ValueError("bad solver config")
+        if not (self.max_iters >= 1 and float(self.max_iters).is_integer()):
+            raise ValueError(f"max_iters must be an integer >= 1: {self.max_iters}")
+        object.__setattr__(self, "max_iters", int(self.max_iters))
 
     def to_dict(self):
         return {
             "beta": float(self.beta),
-            "max_iters": int(self.max_iters),
+            "max_iters": self.max_iters,
             "rel_tol": float(self.rel_tol),
-            "tv_inner_iters": int(self.tv_inner_iters),
         }
 
 
@@ -77,10 +77,12 @@ class Maps:
     valid: np.ndarray = field(repr=False)
 
 
-def _count_parts(y):
+def _count_parts(y, b):
     """Counts as float64, with the cube's bin_width and t0 (1 and 0 for a
-    bare array). A HistogramCube already holds non-negative integers in 3D;
-    a bare array is checked here."""
+    bare array), after checking the background b. A HistogramCube already
+    holds non-negative integers in 3D; a bare array is checked here."""
+    if not np.isfinite(b) or b < 0:
+        raise ValueError(f"background must be finite and non-negative, got {b}")
     if isinstance(y, HistogramCube):
         return y.counts.astype(np.float64), y.config.bin_width, y.config.t0
     counts = np.asarray(y, dtype=np.float64)
@@ -89,10 +91,6 @@ def _count_parts(y):
     if not (np.isfinite(counts).all() and (counts >= 0).all()):
         raise ValueError("counts must be finite and non-negative")
     return counts, 1.0, 0.0
-
-
-def _as_volume(rd):
-    return rd.data if isinstance(rd, RDVolume) else np.asarray(rd, dtype=np.float64)
 
 
 def _nll_of_lambda(lam, counts):
@@ -112,7 +110,7 @@ def neg_log_likelihood(rd, y, g, b):
     zero-flux bins stay finite.
     """
     x = _as_volume(rd)
-    counts, _, _ = _count_parts(y)
+    counts, _, _ = _count_parts(y, b)
     if x.shape != counts.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {counts.shape}")
     lam = convolve3d(g, x, b)
@@ -122,7 +120,7 @@ def neg_log_likelihood(rd, y, g, b):
 def nll_gradient(rd, y, g, b):
     """Gradient of the fit term: correlation of (1 - Y/Lambda) with g."""
     x = _as_volume(rd)
-    counts, _, _ = _count_parts(y)
+    counts, _, _ = _count_parts(y, b)
     if x.shape != counts.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {counts.shape}")
     return _nll_gradient_of_lambda(convolve3d(g, x, b), counts, g)
@@ -235,9 +233,7 @@ def spiral_solve(y, g, b, config=None, init=None):
     """
     if config is None:
         config = SolverConfig()
-    counts, bin_width, t0 = _count_parts(y)
-    if not np.isfinite(b) or b < 0:
-        raise ValueError(f"background must be finite and non-negative, got {b}")
+    counts, bin_width, t0 = _count_parts(y, b)
     beta = config.beta
 
     if init is None:
@@ -275,9 +271,7 @@ def spiral_solve(y, g, b, config=None, init=None):
 
         doublings = 0
         while True:
-            x_new = prox_tv_nonneg(
-                x - grad / alpha, beta / alpha, config.tv_inner_iters
-            )
+            x_new = prox_tv_nonneg(x - grad / alpha, beta / alpha)
             step_sq = float(np.vdot(x_new - x, x_new - x))
             lam_new = convolve3d(g, x_new, b)
             phi_new = _nll_of_lambda(lam_new, counts) + beta * tv_penalty(x_new)
@@ -323,11 +317,18 @@ def extract_depth_reflectivity(rd, window_half=0):
     k_star = np.argmax(data, axis=2)  # first maximum = smallest bin on ties
     refl, _ = _window_sums(data, k_star, window_half)
     peak = np.take_along_axis(data, k_star[:, :, None], axis=2)[:, :, 0]
-    valid = peak > 0
-    depth = (rd.t0 + k_star * rd.bin_width) * (SPEED_OF_LIGHT / 2.0)
-    depth = np.where(valid, depth, np.nan)
-    refl = np.where(valid, refl, 0.0)
-    return Maps(depth=depth, reflectivity=refl, valid=valid)
+    return _peak_maps(k_star, refl, peak > 0, rd.t0, rd.bin_width)
+
+
+def _peak_maps(k_star, refl, valid, t0, bin_width):
+    """Maps from per-pixel peak bins: depth (t0 + k* bin_width) * c/2; an
+    invalid pixel gets NaN depth and reflectivity 0."""
+    depth = (t0 + k_star * bin_width) * (SPEED_OF_LIGHT / 2.0)
+    return Maps(
+        depth=np.where(valid, depth, np.nan),
+        reflectivity=np.where(valid, refl, 0.0),
+        valid=valid,
+    )
 
 
 def _window_sums(data, k_star, window_half):
@@ -352,18 +353,12 @@ def _window_sums(data, k_star, window_half):
 
 def save_volume(rd, path):
     """Write a reconstructed volume as an SPR1 file plus sidecar."""
-    from . import io
-
     meta = {"bin_width": float(rd.bin_width), "t0": float(rd.t0)}
     io.write_cube(path, rd.data.astype(np.float64), meta)
 
 
 def load_volume(path):
-    from . import io
-
     data, meta = io.read_cube(path)
-    if meta is None:
-        raise ValueError(f"volume sidecar missing: {path}.json")
     return RDVolume(
         data=data, bin_width=float(meta["bin_width"]), t0=float(meta.get("t0", 0.0))
     )

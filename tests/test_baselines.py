@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splidar.baselines import pixelwise_ml, reconstruct_no_scan
-from splidar.forward import ScanConfig, coarsen, make_kernel, simulate
+from splidar.forward import ScanConfig, make_kernel, simulate
 from splidar.scene import SPEED_OF_LIGHT, Scene
 
 
@@ -133,7 +133,7 @@ def test_no_scan_output_is_blocky():
                      sbr_window=48e-9)
     cube = simulate(scene, cfg, ppp=50.0, sbr=5.0, seed=6)
     factor = 2 * cfg.n
-    maps = reconstruct_no_scan(coarsen(cube, factor), factor)
+    maps = reconstruct_no_scan(cube, factor)
     assert maps.depth.shape == (8, 8)
     # every 4x4 block is constant by construction
     for bi in range(2):

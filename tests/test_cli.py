@@ -307,6 +307,11 @@ def test_experiment_bad_spec_is_usage_error(tmp_path, capsys):
     raw["solver"]["step_init"] = 1.0
     stale.write_text(json.dumps(raw))
     assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
+    for key, value in (("tv_inner_iters", 20), ("max_iters", 2.5)):
+        raw = experiment_spec_dict(tmp_path)
+        raw["solver"][key] = value
+        stale.write_text(json.dumps(raw))
+        assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
     capsys.readouterr()
 

@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 
 from splidar.evaluate import (
+    KNOWN_METHODS,
     RESOLVED_THRESHOLD,
     RESULTS_COLUMNS,
     ExperimentSpec,
     bar_contrast,
+    reconstruct_cell,
     resolved_groups,
     rmse,
     run_experiment,
 )
-from splidar.forward import ScanConfig
+from splidar.forward import ScanConfig, simulate
 from splidar.io import sha256_file
 from splidar.scene import Scene, chart_layout, make_resolution_chart, save_scene
+from splidar.solver import SolverConfig
 
 
 # --- metrics ------------------------------------------------------------
@@ -88,6 +91,18 @@ def test_bar_contrast_blur_orders_groups():
 def test_bar_contrast_shape_mismatch():
     with pytest.raises(ValueError):
         bar_contrast(np.zeros((10, 10)), chart_layout())
+
+
+def test_every_method_runs_far_below_one_photon_per_pixel():
+    scene = Scene(reflectivity=np.full((8, 8), 0.8),
+                  depth=np.tile(np.repeat([2.0, 3.2], 4), (8, 1)))
+    cfg = ScanConfig(n=1, jitter_fwhm=1e-9, bin_width=1.6e-9, n_bins=64)
+    cube = simulate(scene, cfg, 0.02, 0.2, seed=2)
+    assert cube.counts.sum() == 7
+    for method in KNOWN_METHODS:
+        maps, _, _, _ = reconstruct_cell(cube, method, SolverConfig())
+        assert maps.valid.any()
+        assert np.isfinite(maps.depth[maps.valid]).all()
 
 
 def test_results_columns_frozen():

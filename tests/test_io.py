@@ -117,6 +117,16 @@ def test_count_cube_rejects_counts_beyond_u32(tmp_path):
     assert not (tmp_path / "over.sph1").exists()
 
 
+def test_read_cube_requires_sidecar(tmp_path):
+    p = tmp_path / "s.sph1"
+    io.write_cube(p, np.zeros((1, 1, 2), dtype=np.int64), None)
+    with pytest.raises(ValueError, match="sidecar"):
+        io.read_cube(p)
+    (tmp_path / "s.sph1.json").unlink()
+    with pytest.raises(ValueError, match="sidecar"):
+        io.read_cube(p)
+
+
 def test_read_cube_rejects_trailing_bytes(tmp_path):
     p = tmp_path / "t.sph1"
     io.write_cube(p, np.arange(6).reshape(1, 2, 3), {})

@@ -6,6 +6,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -89,6 +90,35 @@ def test_map_round_trip_within_half_a_code_step(values, data):
         half_step = (hi - lo) / (io.MAP_LEVELS - 1) / 2
         slack = 8 * np.spacing(max(abs(lo), abs(hi)))
         assert (np.abs(back[valid] - values[valid]) <= half_step + slack).all()
+
+
+raster_shapes = hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)
+
+
+@pytest.mark.parametrize("sample_bytes, maxvals", [(1, (1, 255)), (2, (256, 65535))])
+@given(data=st.data())
+def test_pgm_round_trip_is_exact(sample_bytes, maxvals, data):
+    maxval = data.draw(st.integers(*maxvals))
+    values = data.draw(hnp.arrays(np.int64, raster_shapes,
+                                  elements=st.integers(0, maxval)))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "g.pgm"
+        io.write_pgm(p, values, maxval=maxval)
+        raster = p.read_bytes().split(b"\n", 3)[3]
+        back, back_maxval = io.read_pgm(p)
+    assert len(raster) == values.size * sample_bytes
+    assert back_maxval == maxval
+    np.testing.assert_array_equal(back, values)
+
+
+@given(hnp.arrays(np.float32, raster_shapes, elements=st.floats(width=32)))
+def test_pfm_round_trip_is_exact(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "f.pfm"
+        io.write_pfm(p, values)
+        back = io.read_pfm(p)
+    assert back.dtype == np.float32 and back.shape == values.shape
+    assert back.tobytes() == values.tobytes()  # NaN and -0.0 included
 
 
 cube_shapes = hnp.array_shapes(min_dims=3, max_dims=3, min_side=0, max_side=5)

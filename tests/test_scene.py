@@ -172,5 +172,10 @@ def test_scene_dir_round_trip(tmp_path):
 def test_rdvolume_validation():
     with pytest.raises(ValueError):
         RDVolume(data=-np.ones((2, 2, 2)), bin_width=1e-9)
+    for bad in (np.nan, np.inf):
+        data = np.ones((1, 1, 2))
+        data[0, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RDVolume(data=data, bin_width=1e-9)
     with pytest.raises(ValueError):
         RDVolume(data=np.ones((2, 2)), bin_width=1e-9)

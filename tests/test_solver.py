@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from splidar.forward import ScanConfig, make_kernel, simulate
+from splidar.baselines import pixelwise_ml
+from splidar.forward import HistogramCube, ScanConfig, make_kernel, simulate
 from splidar.scene import SPEED_OF_LIGHT, RDVolume, Scene
 from splidar.solver import (
     SolverConfig,
@@ -51,6 +52,14 @@ def test_nll_zero_flux_bins_stay_finite():
     assert np.isfinite(val)
     # Lambda == floor inside the log: val = -sum(log(floor))
     assert val == pytest.approx(-36 * np.log(1e-10))
+
+
+def test_likelihood_terms_reject_bad_background():
+    x = np.ones((3, 3, 8))
+    for bad in (-1.0, float("nan"), float("inf")):
+        for term in (neg_log_likelihood, nll_gradient):
+            with pytest.raises(ValueError, match="background"):
+                term(x, x, small_kernel(), bad)
 
 
 def test_nll_shape_mismatch():
@@ -222,6 +231,10 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match="rel_tol"):
             SolverConfig(rel_tol=bad)
     assert SolverConfig(rel_tol=0.0).rel_tol == 0.0
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=2.5)
+    cfg = SolverConfig(max_iters=300.0)
+    assert cfg.max_iters == 300 and type(cfg.max_iters) is int
 
 
 def test_solve_identity_model_recovers_counts():
@@ -245,6 +258,22 @@ def test_solve_converges_instantly_at_optimum():
     assert rep.iterations == 1
     assert rep.objective_trace[0] == pytest.approx(rep.objective_trace[1])
     np.testing.assert_allclose(vol.data, y)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.05])
+def test_all_zero_cube_solves_to_zero_with_every_pixel_invalid(b):
+    cfg = ScanConfig(n=1, jitter_fwhm=1e-9, bin_width=1e-9, n_bins=8,
+                     sbr_window=8e-9)
+    cube = HistogramCube(counts=np.zeros((5, 5, 8), dtype=np.int64), config=cfg,
+                         background_per_bin=b, rng_seed=0)
+    k = make_kernel(cfg)
+    vol, rep = spiral_solve(cube, k, b)
+    assert rep.converged and rep.iterations == 1
+    assert not vol.data.any()
+    for maps in (extract_depth_reflectivity(vol), pixelwise_ml(cube, k.temporal, b)):
+        assert not maps.valid.any()
+        assert np.isnan(maps.depth).all()
+        assert not maps.reflectivity.any()
 
 
 def test_solve_trace_monotone_and_report_shape():
