@@ -93,6 +93,12 @@ def _count_parts(y, b):
     return counts, 1.0, 0.0
 
 
+def _dot(a, b):
+    """Inner product by numpy's pairwise summation rather than BLAS, so the
+    result does not depend on the BLAS thread count."""
+    return float(np.multiply(a, b).sum())
+
+
 def _nll_of_lambda(lam, counts):
     return float(
         np.sum(lam) - np.sum(counts * np.log(np.maximum(lam, _EPSILON_FLOOR)))
@@ -264,15 +270,15 @@ def spiral_solve(y, g, b, config=None, init=None):
         else:
             dx = x - prev_x
             dg = grad - prev_grad
-            denom = float(np.vdot(dx, dx))
-            numer = float(np.vdot(dx, dg))
+            denom = _dot(dx, dx)
+            numer = _dot(dx, dg)
             alpha = numer / denom if denom > 0 and numer > 0 else last_alpha
         alpha = float(np.clip(alpha, alpha_lo, alpha_hi))
 
         doublings = 0
         while True:
             x_new = prox_tv_nonneg(x - grad / alpha, beta / alpha)
-            step_sq = float(np.vdot(x_new - x, x_new - x))
+            step_sq = _dot(x_new - x, x_new - x)
             lam_new = convolve3d(g, x_new, b)
             phi_new = _nll_of_lambda(lam_new, counts) + beta * tv_penalty(x_new)
             if phi_new <= phi - _ACCEPT_SIGMA * (alpha / 2.0) * step_sq:
@@ -286,7 +292,7 @@ def spiral_solve(y, g, b, config=None, init=None):
                     f"inconsistent with the data scale"
                 )
 
-        rel_change = np.sqrt(step_sq) / max(float(np.linalg.norm(x)), _EPSILON_FLOOR)
+        rel_change = np.sqrt(step_sq) / max(np.sqrt(_dot(x, x)), _EPSILON_FLOOR)
         prev_x, prev_grad = x, grad
         x, lam, phi = x_new, lam_new, phi_new
         last_alpha = alpha

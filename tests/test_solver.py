@@ -1,9 +1,15 @@
 """Objective terms, TV prox, solve loop behavior, and map extraction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import optimize
 
+import splidar
 from splidar.baselines import pixelwise_ml
 from splidar.forward import HistogramCube, ScanConfig, make_kernel, simulate
 from splidar.scene import SPEED_OF_LIGHT, RDVolume, Scene
@@ -309,6 +315,37 @@ def test_solve_deterministic():
     vb, rb = spiral_solve(cube, k, cube.background_per_bin, sol)
     np.testing.assert_array_equal(va.data, vb.data)
     assert ra.objective_trace == rb.objective_trace
+
+
+# four iterations of the acceptance chart solve; prints the volume's sha256
+_CHART_SOLVE = """
+import hashlib
+from splidar import (ScanConfig, SolverConfig, make_kernel, make_resolution_chart,
+                     simulate, spiral_solve)
+cfg = ScanConfig(n=4, jitter_fwhm=1e-9, bin_width=1.6e-9, n_bins=64)
+cube = simulate(make_resolution_chart(), cfg, 10.0, 0.2, 0)
+solver = SolverConfig(beta=0.01, max_iters=4, rel_tol=0.0)
+vol, _ = spiral_solve(cube, make_kernel(cfg), cube.background_per_bin, solver)
+print(hashlib.sha256(vol.data.tobytes()).hexdigest())
+"""
+
+
+def test_solve_bytes_do_not_depend_on_blas_threads():
+    # BLAS thread counts are fixed at process start, so each count gets its
+    # own interpreter; the package is found where this one found it.
+    package_root = str(Path(splidar.__file__).resolve().parent.parent)
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (package_root, env.get("PYTHONPATH")))
+        )
+        run = subprocess.run([sys.executable, "-c", _CHART_SOLVE], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def test_solve_rejects_bad_inputs():
