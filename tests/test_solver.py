@@ -343,7 +343,8 @@ def test_solve_bytes_do_not_depend_on_blas_threads():
             filter(None, (package_root, env.get("PYTHONPATH")))
         )
         run = subprocess.run([sys.executable, "-c", _CHART_SOLVE], env=env,
-                             capture_output=True, text=True, check=True)
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
         digests.add(run.stdout.strip())
     assert len(digests) == 1, digests
 
