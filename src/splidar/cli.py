@@ -10,7 +10,6 @@ outputs they describe.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -55,11 +54,9 @@ def _build_parser():
     kinds = p.add_subparsers(dest="kind", required=True)
     chart = kinds.add_parser("chart", help="120x128 three-bar resolution target")
     chart.add_argument("-o", "--out", required=True, help="output scene directory")
-    chart.add_argument("--d-fg", type=float, default=3.0, help="bar depth (m)")
-    chart.add_argument("--d-bg", type=float, default=5.4, help="background depth (m)")
-    chart.add_argument("--r-bg", type=float, default=0.0, help="background reflectivity")
-    chart.add_argument("--bin-width", type=float, default=0.4e-9)
-    chart.add_argument("--t0", type=float, default=0.0)
+    chart.add_argument("--d-fg", type=float, help="bar depth (m)")
+    chart.add_argument("--d-bg", type=float, help="background depth (m)")
+    chart.add_argument("--r-bg", type=float, help="background reflectivity")
     chart.set_defaults(func=_cmd_make_scene_chart)
     files = kinds.add_parser("from-files", help="build a scene from image files")
     files.add_argument("-o", "--out", required=True)
@@ -67,36 +64,30 @@ def _build_parser():
     files.add_argument("--depth", required=True, help="graymap or float map")
     files.add_argument("--d-min", type=float, default=None)
     files.add_argument("--d-max", type=float, default=None)
-    files.add_argument("--bin-width", type=float, default=0.4e-9)
-    files.add_argument("--t0", type=float, default=0.0)
     files.set_defaults(func=_cmd_make_scene_files)
 
     p = sub.add_parser("simulate", help="sample a photon-count cube from a scene")
     p.add_argument("scene_dir")
     p.add_argument("-o", "--out", required=True, help="output cube file (.sph1)")
-    p.add_argument("--n", type=int, default=4, help="sub-pixel half-width")
+    p.add_argument("--n", type=int, help="sub-pixel half-width")
     p.add_argument("--ppp", type=float, default=10.0, help="mean signal photons per pixel")
     p.add_argument("--sbr", type=float, default=0.2, help="signal-to-background ratio")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=int, default=None, help="time bins (default 256)")
-    p.add_argument("--bin-width", type=float, default=None, help="seconds (default: scene meta)")
-    p.add_argument("--jitter", type=float, default=1e-9, help="temporal FWHM (s)")
-    p.add_argument("--sbr-window", type=float, default=100e-9)
-    p.add_argument("--rep-period", type=float, default=1e-5)
-    p.add_argument("--t0", type=float, default=None, help="seconds (default: scene meta)")
+    p.add_argument("--bins", type=int, dest="n_bins", help="time bins")
+    p.add_argument("--bin-width", type=float, help="seconds")
+    p.add_argument("--jitter", type=float, dest="jitter_fwhm", help="temporal FWHM (s)")
+    p.add_argument("--sbr-window", type=float)
+    p.add_argument("--rep-period", type=float)
+    p.add_argument("--t0", type=float, help="seconds")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="depth/reflectivity maps from a cube")
     p.add_argument("cube")
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.add_argument("--method", required=True, choices=["deconv3d", "ml", "noscan"])
-    p.add_argument("--beta", type=float, default=0.1, help="TV weight")
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--rel-tol", type=float, default=1e-4)
-    p.add_argument("--window-half", type=int, default=None,
-                   help="reflectivity window (bins, default kernel half-width)")
-    p.add_argument("--factor", type=int, default=None,
-                   help="noscan coarsening factor (default 2n)")
+    p.add_argument("--beta", type=float, help="TV weight")
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--rel-tol", type=float)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("render", help="render an exported map to a color image")
@@ -110,39 +101,34 @@ def _build_parser():
     p = sub.add_parser("experiment", help="run a sweep described by a JSON spec")
     p.add_argument("spec", help="experiment spec (JSON)")
     p.add_argument("-o", "--out", required=True, help="output directory")
-    p.add_argument("--beta", type=float, default=None, help="override solver beta")
-    p.add_argument("--max-iters", type=int, default=None)
     p.set_defaults(func=_cmd_experiment)
     return parser
 
 
+def _given(args, *names):
+    """The named flags that were given, so the callee's defaults hold."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _cmd_make_scene_chart(args):
-    scene = make_resolution_chart(d_fg=args.d_fg, d_bg=args.d_bg, r_bg=args.r_bg)
-    save_scene(scene, args.out, bin_width=args.bin_width, t0=args.t0)
+    scene = make_resolution_chart(**_given(args, "d_fg", "d_bg", "r_bg"))
+    save_scene(scene, args.out)
     print(f"wrote {scene.height}x{scene.width} scene to {args.out}")
     return 0
 
 
 def _cmd_make_scene_files(args):
     scene = load_scene(args.reflectivity, args.depth, d_min=args.d_min, d_max=args.d_max)
-    save_scene(scene, args.out, bin_width=args.bin_width, t0=args.t0)
+    save_scene(scene, args.out)
     print(f"wrote {scene.height}x{scene.width} scene to {args.out}")
     return 0
 
 
 def _cmd_simulate(args):
-    scene, meta = load_scene_dir(args.scene_dir)
-    bin_width = args.bin_width if args.bin_width is not None else meta["bin_width"]
-    t0 = args.t0 if args.t0 is not None else meta.get("t0", 0.0)
-    config = ScanConfig(
-        n=args.n,
-        jitter_fwhm=args.jitter,
-        bin_width=bin_width,
-        n_bins=args.bins if args.bins is not None else 256,
-        rep_period=args.rep_period,
-        sbr_window=args.sbr_window,
-        t0=t0,
-    )
+    scene, _ = load_scene_dir(args.scene_dir)
+    config = ScanConfig(**_given(
+        args, "n", "jitter_fwhm", "bin_width", "n_bins", "rep_period", "sbr_window", "t0"
+    ))
     cube = simulate(scene, config, args.ppp, args.sbr, args.seed)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_cube(cube, args.out)
@@ -151,20 +137,12 @@ def _cmd_simulate(args):
 
 
 def _cmd_reconstruct(args):
-    if args.window_half is not None and args.window_half < 0:
-        raise _UsageError(f"--window-half must be >= 0, got {args.window_half}")
-    if args.factor is not None and args.factor < 1:
-        raise _UsageError(f"--factor must be >= 1, got {args.factor}")
     try:
-        solver = SolverConfig(
-            beta=args.beta, max_iters=args.max_iters, rel_tol=args.rel_tol
-        )
+        solver = SolverConfig(**_given(args, "beta", "max_iters", "rel_tol"))
     except ValueError as exc:
         raise _UsageError(f"invalid solver settings: {exc}")
     cube = load_cube(args.cube)
-    maps, report, volume, settings = reconstruct_cell(
-        cube, args.method, solver, args.window_half, args.factor
-    )
+    maps, report, volume, settings = reconstruct_cell(cube, args.method, solver)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_cell_outputs(out, maps, report, volume)
@@ -212,15 +190,8 @@ def _cmd_experiment(args):
         raw = io.read_json(args.spec)
     except FileNotFoundError:
         raise _UsageError(f"spec file not found: {args.spec}")
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"spec is not valid JSON: {exc}")
-    overrides = {}
-    if args.beta is not None:
-        overrides["beta"] = args.beta
-    if args.max_iters is not None:
-        overrides["max_iters"] = args.max_iters
-    if overrides:
-        raw.setdefault("solver", {}).update(overrides)
+    except ValueError as exc:  # not ASCII, or not JSON
+        raise _UsageError(f"spec is not valid ASCII JSON: {exc}")
     try:
         spec = ExperimentSpec.from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:

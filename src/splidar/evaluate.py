@@ -35,6 +35,8 @@ RESULTS_COLUMNS = (
 )
 
 KNOWN_METHODS = ("deconv3d", "ml", "noscan")
+SPEC_KEYS = {"scene", "scan", "ppp", "sbr", "seeds", "methods", "solver"}
+SCENE_KEYS = {"kind", "path", "d_fg", "d_bg", "r_bg"}
 
 
 def rmse(estimate, truth, mask):
@@ -88,8 +90,6 @@ class ExperimentSpec:
     solver: SolverConfig = field(default_factory=SolverConfig)
     scene_path: str | None = None
     chart_args: dict = field(default_factory=dict)
-    noscan_factor: int | None = None  # default: 2n (one full footprint)
-    window_half: int | None = None  # default: temporal kernel half-width
 
     def __post_init__(self):
         if self.scene_kind not in ("chart", "dir"):
@@ -110,18 +110,15 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method: {m}")
-        if self.noscan_factor is not None and self.noscan_factor < 1:
-            raise ValueError(f"noscan_factor must be >= 1: {self.noscan_factor}")
-        if self.window_half is not None and self.window_half < 0:
-            raise ValueError(f"window_half must be >= 0: {self.window_half}")
 
     @classmethod
     def from_dict(cls, raw):
+        """Parse a spec; an unknown spec or scene key is a ValueError."""
+        _reject_unknown(raw, SPEC_KEYS, "spec")
         scene = raw.get("scene", {})
+        _reject_unknown(scene, SCENE_KEYS, "scene")
         kind = scene.get("kind")
-        chart_args = {
-            k: scene[k] for k in ("d_fg", "d_bg", "r_bg") if k in scene
-        }
+        chart_args = {k: v for k, v in scene.items() if k not in ("kind", "path")}
         return cls(
             scene_kind=kind,
             scene_path=scene.get("path"),
@@ -132,8 +129,6 @@ class ExperimentSpec:
             seeds=raw["seeds"],
             methods=raw["methods"],
             solver=SolverConfig(**raw.get("solver", {})),
-            noscan_factor=raw.get("noscan_factor"),
-            window_half=raw.get("window_half"),
         )
 
     def to_dict(self):
@@ -141,7 +136,7 @@ class ExperimentSpec:
         if self.scene_path:
             scene["path"] = str(Path(self.scene_path).name)  # no absolute paths
         scene.update(self.chart_args)
-        d = {
+        return {
             "scene": scene,
             "scan": self.scan.to_dict(),
             "ppp": list(self.ppp),
@@ -150,11 +145,12 @@ class ExperimentSpec:
             "methods": list(self.methods),
             "solver": self.solver.to_dict(),
         }
-        if self.noscan_factor is not None:
-            d["noscan_factor"] = int(self.noscan_factor)
-        if self.window_half is not None:
-            d["window_half"] = int(self.window_half)
-        return d
+
+
+def _reject_unknown(raw, known, what):
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 def _load_spec_scene(spec):
@@ -164,21 +160,20 @@ def _load_spec_scene(spec):
     return scene, None
 
 
-def reconstruct_cell(cube, method, solver, window_half=None, noscan_factor=None):
-    """One reconstruction; window_half defaults to the temporal kernel
-    half-width and noscan_factor to 2n. Returns (Maps, SolveReport or None,
-    RDVolume or None, settings), settings being the effective values used."""
+def reconstruct_cell(cube, method, solver):
+    """One reconstruction, reading reflectivity over the temporal kernel
+    half-width; noscan coarsens by one footprint, 2n. Returns (Maps, SolveReport
+    or None, RDVolume or None, settings), settings being the values used."""
     kernel = make_kernel(cube.config)
-    if window_half is None:
-        window_half = kernel.temporal.size // 2
-    settings = {"window_half": int(window_half)}
+    window_half = kernel.temporal.size // 2
+    settings = {"window_half": window_half}
     if method == "ml":
         maps = pixelwise_ml(
             cube, kernel.temporal, cube.background_per_bin, window_half=window_half
         )
         return maps, None, None, settings
     if method == "noscan":
-        factor = noscan_factor if noscan_factor is not None else 2 * cube.config.n
+        factor = 2 * cube.config.n
         settings["factor"] = int(factor)
         maps = reconstruct_no_scan(cube, factor, window_half=window_half)
         return maps, None, None, settings
@@ -227,8 +222,7 @@ def run_experiment(spec, out_dir):
                 started = time.perf_counter()
                 try:
                     maps, report, volume, _ = reconstruct_cell(
-                        cubes[(ppp, seed)], method, spec.solver,
-                        spec.window_half, spec.noscan_factor,
+                        cubes[(ppp, seed)], method, spec.solver
                     )
                     mask = maps.valid & truth_valid
                     err_m = rmse(

@@ -226,12 +226,12 @@ def _sniff(path):
     raise ValueError(f"unsupported image format (magic {magic!r}): {path}")
 
 
-def save_scene(scene, out_dir, bin_width, t0=0.0):
+def save_scene(scene, out_dir):
     """Persist as a directory: reflectivity.pgm (16-bit), depth.pfm, meta.json.
 
     Reflectivity must lie in [0, 1] (16-bit quantization); depth is stored in
-    meters. meta.json records the intended binning plus the depth range so
-    load_scene_dir round-trips the affine mapping as the identity.
+    meters. meta.json records the shape and depth range so load_scene_dir
+    round-trips the affine mapping as the identity; binning is a ScanConfig's.
     """
     if scene.reflectivity.max() > 1.0:
         raise ValueError("save_scene needs reflectivity in [0, 1]")
@@ -243,8 +243,6 @@ def save_scene(scene, out_dir, bin_width, t0=0.0):
     meta = {
         "height": scene.height,
         "width": scene.width,
-        "bin_width": float(bin_width),
-        "t0": float(t0),
         "d_min": float(scene.depth.min()),
         "d_max": float(scene.depth.max()),
     }
@@ -258,6 +256,9 @@ def load_scene_dir(scene_dir):
     if not meta_path.exists():
         raise ValueError(f"not a scene directory (no meta.json): {scene_dir}")
     meta = io.read_json(meta_path)
+    unknown = sorted(set(meta) - {"height", "width", "d_min", "d_max"})
+    if unknown:
+        raise ValueError(f"{meta_path}: a scene holds no {', '.join(unknown)}")
     scene = load_scene(
         d / "reflectivity.pgm",
         d / "depth.pfm",

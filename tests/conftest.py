@@ -69,7 +69,7 @@ def synth_natural_scene(height=96, width=96, seed=7):
 @pytest.fixture(scope="session")
 def natural_scene_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("natural") / "scene"
-    save_scene(synth_natural_scene(), out, bin_width=1.6e-9)
+    save_scene(synth_natural_scene(), out)
     return out
 
 

@@ -60,17 +60,14 @@ def _median_rmse(rows, method, ppp):
     return float(np.median(vals))
 
 
+def _shipped_spec(name):
+    path = Path(__file__).parent.parent / "experiments" / name
+    return json.loads(path.read_text())
+
+
 @pytest.fixture(scope="module")
 def chart_run(tmp_path_factory):
-    spec = ExperimentSpec(
-        scene_kind="chart",
-        scan=EXPERIMENT_SCAN,
-        ppp=(10.0,),
-        sbr=0.2,
-        seeds=(0,),
-        methods=("deconv3d", "ml", "noscan"),
-        solver=SolverConfig(beta=0.01, max_iters=300, rel_tol=1e-4),
-    )
+    spec = ExperimentSpec.from_dict(_shipped_spec("chart.json"))
     out = tmp_path_factory.mktemp("accept_chart")
     started = time.perf_counter()
     rows = run_experiment(spec, out)
@@ -80,16 +77,9 @@ def chart_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def natural_run(tmp_path_factory, natural_scene_dir):
-    spec = ExperimentSpec(
-        scene_kind="dir",
-        scene_path=str(natural_scene_dir),
-        scan=EXPERIMENT_SCAN,
-        ppp=(1.0, 5.0, 10.0),
-        sbr=0.2,
-        seeds=(0, 1, 2),
-        methods=("deconv3d", "ml"),
-        solver=SolverConfig(beta=0.1, max_iters=300, rel_tol=1e-4),
-    )
+    raw = _shipped_spec("lowlight.json")
+    raw["scene"]["path"] = str(natural_scene_dir)
+    spec = ExperimentSpec.from_dict(raw)
     out = tmp_path_factory.mktemp("accept_natural")
     started = time.perf_counter()
     rows = run_experiment(spec, out)
@@ -339,14 +329,11 @@ def test_criterion_9_round_trip_and_determinism(tmp_path):
         root = tmp_path / tag
         scene_dir = root / "scene"
         cube = root / "cube.sph1"
-        assert cli_main([
-            "make-scene", "chart", "-o", str(scene_dir),
-            "--bin-width", "1.6e-9",
-        ]) == 0
+        assert cli_main(["make-scene", "chart", "-o", str(scene_dir)]) == 0
         assert cli_main([
             "simulate", str(scene_dir), "-o", str(cube),
             "--n", "4", "--ppp", "10", "--sbr", "0.2", "--seed", "0",
-            "--bins", "64",
+            "--bins", "64", "--bin-width", "1.6e-9",
         ]) == 0
         assert cli_main([
             "reconstruct", str(cube), "-o", str(root / "rec"),

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from splidar.cli import main
+from splidar.forward import ScanConfig
 from splidar.io import read_map, read_pfm, write_pfm, write_pgm
+from splidar.scene import load_scene_dir, make_resolution_chart
+from splidar.solver import SolverConfig
 
 
 def read_ppm(path):
@@ -40,7 +43,6 @@ def scene_dir(image_pair, tmp_path_factory):
         "make-scene", "from-files",
         "--reflectivity", str(image_pair / "refl.pgm"),
         "--depth", str(image_pair / "depth.pfm"),
-        "--bin-width", "1.6e-9",
         "-o", str(out),
     ])
     assert rc == 0
@@ -53,7 +55,7 @@ def cube_path(scene_dir, tmp_path_factory):
     rc = main([
         "simulate", str(scene_dir), "-o", str(out),
         "--n", "1", "--ppp", "20", "--sbr", "2", "--seed", "3",
-        "--bins", "16", "--sbr-window", "25e-9",
+        "--bins", "16", "--bin-width", "1.6e-9", "--sbr-window", "25e-9",
     ])
     assert rc == 0
     return out
@@ -104,7 +106,7 @@ def test_simulate_rerun_byte_identical(scene_dir, tmp_path):
     args = [
         "simulate", str(scene_dir),
         "--n", "1", "--ppp", "20", "--sbr", "2", "--seed", "3",
-        "--bins", "16", "--sbr-window", "25e-9",
+        "--bins", "16", "--bin-width", "1.6e-9", "--sbr-window", "25e-9",
     ]
     a, b = tmp_path / "a.sph1", tmp_path / "b.sph1"
     assert main(args + ["-o", str(a)]) == 0
@@ -149,9 +151,7 @@ def test_reconstruct_rerun_byte_identical(cube_path, tmp_path):
 
 
 @pytest.mark.parametrize("method", ["ml", "noscan", "deconv3d"])
-@pytest.mark.parametrize("flag", [["--window-half", "-1"], ["--factor", "0"],
-                                  ["--beta", "nan"]],
-                         ids=["window-half", "factor", "beta-nan"])
+@pytest.mark.parametrize("flag", [["--beta", "nan"]], ids=["beta-nan"])
 def test_reconstruct_bad_setting_is_usage_error(cube_path, tmp_path, capsys,
                                                 method, flag):
     out = tmp_path / "out"
@@ -170,6 +170,36 @@ def test_reconstruct_unknown_method_is_usage_error(cube_path, tmp_path, capsys):
         ])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "c.sph1", "--method", "ml", "--window-half", "1"],
+    ["reconstruct", "c.sph1", "--method", "noscan", "--factor", "2"],
+    ["experiment", "spec.json", "--beta", "0.3"],
+], ids=["window-half", "factor", "experiment-beta"])
+def test_removed_overrides_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_cli_defaults_are_the_types_defaults(cube_path, tmp_path):
+    scene_dir, cube = tmp_path / "chart", tmp_path / "chart.sph1"
+    assert main(["make-scene", "chart", "-o", str(scene_dir)]) == 0
+    scene, _ = load_scene_dir(scene_dir)
+    chart = make_resolution_chart()
+    np.testing.assert_array_equal(scene.reflectivity, chart.reflectivity)
+    np.testing.assert_array_equal(scene.depth, chart.depth)
+    assert main(["simulate", str(scene_dir), "-o", str(cube), "--ppp", "1"]) == 0
+    sidecar = json.loads((tmp_path / "chart.sph1.json").read_text())
+    assert sidecar["config"] == ScanConfig().to_dict()
+    out = tmp_path / "rec"
+    assert main([
+        "reconstruct", str(cube_path), "--method", "deconv3d", "-o", str(out),
+    ]) == 0
+    effective = json.loads((out / "reconstruct.json").read_text())
+    assert effective["solver"] == SolverConfig().to_dict()
 
 
 def test_reconstruct_missing_cube_is_runtime_error(tmp_path):
@@ -281,17 +311,6 @@ def test_reconstruct_matches_experiment_cell(scene_dir, tmp_path, method):
         assert filecmp.cmp(cell / name, out / name, shallow=False), name
 
 
-def test_experiment_beta_override(scene_dir, tmp_path):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(experiment_spec_dict(scene_dir)))
-    out = tmp_path / "o"
-    assert main([
-        "experiment", str(spec_path), "-o", str(out), "--beta", "0.3",
-    ]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["spec"]["solver"]["beta"] == 0.3
-
-
 def test_experiment_bad_spec_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -312,6 +331,20 @@ def test_experiment_bad_spec_is_usage_error(tmp_path, capsys):
         raw["solver"][key] = value
         stale.write_text(json.dumps(raw))
         assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
+    # removed overrides, misspelled keys at the top and in the scene
+    for key, value in (("noscan_factor", 2.5), ("window_half", 1.5),
+                       ("sedes", [0])):
+        raw = experiment_spec_dict(tmp_path)
+        raw[key] = value
+        stale.write_text(json.dumps(raw))
+        assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
+    raw = experiment_spec_dict(tmp_path)
+    raw["scene"]["pth"] = "scene"
+    stale.write_text(json.dumps(raw))
+    assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
+    raw["scene"] = {"kind": "dir", "path": "scène"}  # specs are read as ASCII
+    stale.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+    assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
     capsys.readouterr()
 
@@ -319,7 +352,7 @@ def test_experiment_bad_spec_is_usage_error(tmp_path, capsys):
 def test_experiment_failing_cell_returns_runtime_error(scene_dir, tmp_path):
     raw = experiment_spec_dict(scene_dir)
     raw["methods"] = ["noscan"]
-    raw["noscan_factor"] = 5  # does not divide the 8x8 frame
+    raw["scan"]["n"] = 3  # 2n = 6 does not divide the 8x8 frame
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(raw))
     assert main(["experiment", str(spec_path), "-o", str(tmp_path / "o")]) == 1

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,10 +149,6 @@ def test_spec_validation():
         ExperimentSpec(**{**ok, "ppp": ()})
     with pytest.raises(ValueError):
         ExperimentSpec(**{**ok, "sbr": 0.0})
-    with pytest.raises(ValueError):
-        ExperimentSpec(**{**ok, "window_half": -1})
-    with pytest.raises(ValueError):
-        ExperimentSpec(**{**ok, "noscan_factor": 0})
 
 
 def test_spec_dict_round_trip(tmp_path):
@@ -163,7 +160,6 @@ def test_spec_dict_round_trip(tmp_path):
         "seeds": [0, 1],
         "methods": ["ml", "deconv3d"],
         "solver": {"beta": 0.05, "max_iters": 7},
-        "window_half": 2,
     }
     spec = ExperimentSpec.from_dict(raw)
     assert spec.ppp == (1.0, 4.0)
@@ -174,6 +170,13 @@ def test_spec_dict_round_trip(tmp_path):
     assert d["solver"]["max_iters"] == 7
     spec2 = ExperimentSpec.from_dict(d)
     assert spec2 == spec
+
+
+def test_shipped_specs_parse():
+    specs = sorted((Path(__file__).parent.parent / "experiments").glob("*.json"))
+    assert specs
+    for path in specs:
+        ExperimentSpec.from_dict(json.loads(path.read_text()))
 
 
 def test_spec_to_dict_strips_directories(tmp_path):
@@ -204,7 +207,7 @@ def tiny_scene_dir(tmp_path_factory):
     scene = Scene(
         reflectivity=refl, depth=np.float32(depth).astype(np.float64)
     )
-    save_scene(scene, root, bin_width=1.6e-9)
+    save_scene(scene, root)
     return root
 
 
@@ -282,9 +285,10 @@ def test_manifest_hashes_verify(tmp_path, tiny_scene_dir):
 
 
 def test_cell_failure_recorded_not_fatal(tmp_path, tiny_scene_dir):
-    # 12x12 frames cannot be coarsened by 5; that cell errors, others run
+    # 12x12 frames cannot be coarsened by 2n = 8; that cell errors, others run
     spec = tiny_spec(
-        tiny_scene_dir, methods=("noscan", "ml"), noscan_factor=5, seeds=(0,)
+        tiny_scene_dir, methods=("noscan", "ml"), seeds=(0,),
+        scan=ScanConfig(**{**small_scan(), "n": 4}),
     )
     rows = run_experiment(spec, tmp_path / "run")
     status = {r["method"]: r["status"] for r in rows}

@@ -1,5 +1,7 @@
 """Chart geometry, scene ingestion, and the spike-volume conversion."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -161,12 +163,15 @@ def test_load_scene_errors(tmp_path):
 
 def test_scene_dir_round_trip(tmp_path):
     scene = make_resolution_chart()
-    save_scene(scene, tmp_path / "s", bin_width=0.4e-9)
+    save_scene(scene, tmp_path / "s")
     back, meta = load_scene_dir(tmp_path / "s")
     np.testing.assert_array_equal(back.reflectivity, scene.reflectivity)
     np.testing.assert_array_equal(back.depth, scene.depth)
-    assert meta["bin_width"] == 0.4e-9
     assert meta["d_min"] == 3.0 and meta["d_max"] == 5.4
+    # binning is not ground truth: a scene that carries it is refused
+    (tmp_path / "s" / "meta.json").write_text(json.dumps({**meta, "bin_width": 4e-10}))
+    with pytest.raises(ValueError, match="bin_width"):
+        load_scene_dir(tmp_path / "s")
 
 
 def test_rdvolume_validation():
