@@ -110,6 +110,11 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method: {m}")
+        for key, value in self.chart_args.items():
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and np.isfinite(value)
+            ):
+                raise ValueError(f"scene {key} must be a finite number: {value!r}")
 
     @classmethod
     def from_dict(cls, raw):
@@ -194,10 +199,10 @@ def run_experiment(spec, out_dir):
     a fixed spec. Per-cell failures are recorded in the status column and do
     not abort the sweep. Returns the list of result-row dicts.
     """
+    scene, layout = _load_spec_scene(spec)
     out = Path(out_dir)
     (out / "cubes").mkdir(parents=True, exist_ok=True)
     (out / "cells").mkdir(exist_ok=True)
-    scene, layout = _load_spec_scene(spec)
     truth_valid = scene.reflectivity > 0
     half_bin_m = spec.scan.bin_width * SPEED_OF_LIGHT / 2.0
 

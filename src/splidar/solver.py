@@ -141,7 +141,7 @@ def tv_penalty(rd):
     each time slice; the trailing edge uses a zero-gradient boundary (no
     wraparound terms)."""
     x = _as_volume(rd)
-    return float(np.abs(np.diff(x, axis=0)).sum() + np.abs(np.diff(x, axis=1)).sum())
+    return float(np.abs(x[1:] - x[:-1]).sum() + np.abs(x[:, 1:] - x[:, :-1]).sum())
 
 
 def prox_tv_nonneg(v, weight, inner_iters=20):
@@ -154,9 +154,13 @@ def prox_tv_nonneg(v, weight, inner_iters=20):
     two guarantees unconditional: the output is non-negative, and its
     objective never exceeds the one at max(v, 0).
 
-    The dual loop runs in float32 with preallocated buffers; it is the hot
-    path of the solve, and the slice comparison (done in float64) absorbs
-    the rounding.
+    The dual loop runs in float32 on one flat, preallocated buffer; it is
+    the hot path of the solve, and the slice comparison (done in float64)
+    absorbs the rounding. The buffer holds a zero row, then p1, then p2, so
+    each field shifted back by one row (p1, stride W*T) or one column (p2,
+    stride T) is a contiguous slice too, and every step of the loop is one
+    contiguous pass. p1's last row and p2's last column stay zero, the
+    zero-gradient boundary; p1's last row is also p2's leading padding.
     """
     if weight < 0:
         raise ValueError("negative weight")
@@ -164,53 +168,42 @@ def prox_tv_nonneg(v, weight, inner_iters=20):
     clipped = np.maximum(vol, 0.0)
     if weight == 0 or inner_iters == 0:
         return clipped
-    p1 = np.zeros(vol.shape, dtype=np.float32)
-    p2 = np.zeros_like(p1)
-    u = np.empty_like(p1)
-    g = np.empty_like(p1)
-    vw = (vol / weight).astype(np.float32)
-    for _ in range(inner_iters):
-        _div2_into(p1, p2, u)
+    n = vol.size
+    row = vol.shape[1] * vol.shape[2]  # flat stride of the row axis
+    col = vol.shape[2]  # flat stride of the column axis
+    dual = np.zeros(row + 2 * n, dtype=np.float32)
+    p1, p1_prev = dual[row : row + n], dual[:n]
+    p2, p2_prev = dual[row + n :], dual[row + n - col : row + 2 * n - col]
+    live = dual[row:]
+    step = np.zeros(2 * n, dtype=np.float32)
+    g1, g2 = step[: n - row], step[n : 2 * n - col]  # p1's last row: no step
+    g2_wrap = step[n:].reshape(vol.shape)[:, -1]  # differences across a row end
+    u = np.empty(n, dtype=np.float32)
+    vw = (vol / weight).astype(np.float32).ravel()
+    for it in range(inner_iters + 1):
+        np.subtract(p1, p1_prev, out=u)  # u = div p, the adjoint of -grad
+        u += p2
+        u -= p2_prev
+        if it == inner_iters:
+            break
         u -= vw
-        np.subtract(u[1:], u[:-1], out=g[:-1])
-        g[-1] = 0.0
-        g *= _PROX_TAU
-        p1 += g
-        np.clip(p1, -1.0, 1.0, out=p1)
-        np.subtract(u[:, 1:], u[:, :-1], out=g[:, :-1])
-        g[:, -1] = 0.0
-        g *= _PROX_TAU
-        p2 += g
-        np.clip(p2, -1.0, 1.0, out=p2)
-    _div2_into(p1, p2, u)
-    x = np.maximum(vol - weight * u.astype(np.float64), 0.0)
+        np.subtract(u[row:], u[: n - row], out=g1)
+        np.subtract(u[col:], u[: n - col], out=g2)
+        g2_wrap[...] = 0.0
+        step *= _PROX_TAU
+        live += step
+        np.clip(live, -1.0, 1.0, out=live)
+    x = np.maximum(vol - weight * u.reshape(vol.shape).astype(np.float64), 0.0)
     # "not <=" also replaces a slice whose float32 dual loop overflowed to NaN
     ok = _slice_objectives(x, vol, weight) <= _slice_objectives(clipped, vol, weight)
     x[:, :, ~ok] = clipped[:, :, ~ok]
     return x
 
 
-def _div2_into(p1, p2, out):
-    """Negative adjoint of the forward-difference gradient, slice by slice.
-
-    A size-1 axis has no differences, so its dual field is skipped."""
-    if p1.shape[0] > 1:
-        out[0] = p1[0]
-        np.subtract(p1[1:-1], p1[:-2], out=out[1:-1])
-        np.negative(p1[-2], out=out[-1])
-    else:
-        out[:] = 0.0
-    if p2.shape[1] > 1:
-        out[:, 0] += p2[:, 0]
-        out[:, 1:-1] += p2[:, 1:-1]
-        out[:, 1:-1] -= p2[:, :-2]
-        out[:, -1] -= p2[:, -2]
-
-
 def _slice_objectives(x, vol, weight):
     quad = 0.5 * ((x - vol) ** 2).sum(axis=(0, 1))
-    tv = np.abs(np.diff(x, axis=0)).sum(axis=(0, 1)) + np.abs(
-        np.diff(x, axis=1)
+    tv = np.abs(x[1:] - x[:-1]).sum(axis=(0, 1)) + np.abs(
+        x[:, 1:] - x[:, :-1]
     ).sum(axis=(0, 1))
     return quad + weight * tv
 

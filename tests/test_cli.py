@@ -342,11 +342,24 @@ def test_experiment_bad_spec_is_usage_error(tmp_path, capsys):
     raw["scene"]["pth"] = "scene"
     stale.write_text(json.dumps(raw))
     assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
+    for value in ("0", True, None, [0.0], float("inf")):  # inf: "Infinity"
+        raw["scene"] = {"kind": "chart", "r_bg": value}
+        stale.write_text(json.dumps(raw))
+        assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
     raw["scene"] = {"kind": "dir", "path": "scène"}  # specs are read as ASCII
     stale.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
     assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
     capsys.readouterr()
+
+
+def test_experiment_without_scene_leaves_no_output(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(experiment_spec_dict(tmp_path / "no-scene")))
+    out = tmp_path / "o"
+    assert main(["experiment", str(spec_path), "-o", str(out)]) == 1
+    assert "meta.json" in capsys.readouterr().err
+    assert not (out / "cubes").exists() and not (out / "cells").exists()
 
 
 def test_experiment_failing_cell_returns_runtime_error(scene_dir, tmp_path):
