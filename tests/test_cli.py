@@ -342,7 +342,7 @@ def test_experiment_bad_spec_is_usage_error(tmp_path, capsys):
     raw["scene"]["pth"] = "scene"
     stale.write_text(json.dumps(raw))
     assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
-    for value in ("0", True, None, [0.0], float("inf")):  # inf: "Infinity"
+    for value in ("0", True, None, [0.0], float("inf")):  # json writes inf as Infinity
         raw["scene"] = {"kind": "chart", "r_bg": value}
         stale.write_text(json.dumps(raw))
         assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
