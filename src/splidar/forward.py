@@ -20,6 +20,7 @@ from . import io
 from .scene import _as_volume, scene_to_rd
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+_CONV_BLOCK_VOXELS = 1 << 15  # voxels per block of rows in the convolution
 
 
 def rayleigh_resolution(wavelength, aperture):
@@ -83,6 +84,11 @@ class Kernel:
     to 1, so the full 3D kernel also has unit mass. The spatial factor must
     be rank 1; its column and row vectors (col, row) are split off once here
     and drive every convolution.
+
+    Symmetry is checked to 1e-12. The column pass assumes it exactly: it
+    sums (x[i-s] + x[i+s]) * w_s, ndimage.convolve1d's form for a filter
+    symmetric to DBL_EPSILON, so with such a col (make_kernel's are) the
+    convolution has ndimage's bytes; otherwise it agrees to rounding.
     """
 
     spatial: np.ndarray
@@ -154,7 +160,14 @@ def make_kernel(config):
 
 def _separable_passes(kernel, volume):
     """Zero-padded "same" convolution of an (H, W, T) array with the kernel:
-    one 1D pass per axis (column, row, time)."""
+    one 1D pass per axis (column, row, time), run over blocks of output
+    rows small enough to stay in cache between the three passes.
+
+    The column pass adds shifted contiguous slices of one zero-padded copy
+    in ndimage's form for a symmetric filter, x*w0 + sum over s = r..1 of
+    (x[i-s] + x[i+s])*w_s, so its bytes, signed zeros included, are those
+    of ndimage.convolve1d. The row and time passes (strides T and 1 within
+    a block) are ndimage.convolve1d into preallocated block buffers."""
     vol = _as_volume(volume)
     if vol.ndim != 3:
         raise ValueError(f"expected 3D volume, got {vol.shape}")
@@ -164,9 +177,27 @@ def _separable_passes(kernel, volume):
             f"kernel {kernel.spatial.shape}+{kernel.temporal.shape} "
             f"larger than volume {vol.shape}"
         )
-    out = ndimage.convolve1d(vol, kernel.col, axis=0, mode="constant")
-    out = ndimage.convolve1d(out, kernel.row, axis=1, mode="constant")
-    return ndimage.convolve1d(out, kernel.temporal, axis=2, mode="constant")
+    height, width, slices = vol.shape
+    r, col = kernel.n, kernel.col
+    padded = np.zeros((height + 2 * r, width, slices))
+    padded[r : r + height] = vol
+    out = np.empty(vol.shape)
+    rows = max(1, min(height, _CONV_BLOCK_VOXELS // (width * slices)))
+    acc_buf = np.empty((rows, width, slices))
+    tmp_buf = np.empty((rows, width, slices))
+    for i0 in range(0, height, rows):
+        i1 = min(i0 + rows, height)
+        acc, tmp = acc_buf[: i1 - i0], tmp_buf[: i1 - i0]
+        np.multiply(padded[i0 + r : i1 + r], col[r], out=acc)
+        for s in range(r, 0, -1):
+            np.add(padded[i0 + r - s : i1 + r - s], padded[i0 + r + s : i1 + r + s],
+                   out=tmp)
+            tmp *= col[r + s]  # ndimage correlates with the reversed filter
+            acc += tmp
+        ndimage.convolve1d(acc, kernel.row, axis=1, mode="constant", output=tmp)
+        ndimage.convolve1d(tmp, kernel.temporal, axis=2, mode="constant",
+                           output=out[i0:i1])
+    return out
 
 
 def convolve3d(kernel, volume, background_per_bin=0.0):

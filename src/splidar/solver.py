@@ -22,6 +22,7 @@ from .forward import HistogramCube, convolve3d, convolve3d_adjoint
 from .scene import SPEED_OF_LIGHT, RDVolume, _as_volume
 
 _PROX_TAU = 0.249  # dual ascent step, < 1/4 keeps the 2D fixed point stable
+_PROX_BLOCK_VOXELS = 1 << 16  # voxels per block of time slices in the dual loop
 _STEP_INIT = 1.0  # inverse step of the first iteration
 _STEP_BOUNDS = (1e-8, 1e8)  # every proposed inverse step is clamped here
 _BACKTRACK_ETA = 2.0  # inverse-step growth per rejected trial
@@ -154,13 +155,16 @@ def prox_tv_nonneg(v, weight, inner_iters=20):
     two guarantees unconditional: the output is non-negative, and its
     objective never exceeds the one at max(v, 0).
 
-    The dual loop runs in float32 on one flat, preallocated buffer; it is
-    the hot path of the solve, and the slice comparison (done in float64)
-    absorbs the rounding. The buffer holds a zero row, then p1, then p2, so
-    each field shifted back by one row (p1, stride W*T) or one column (p2,
-    stride T) is a contiguous slice too, and every step of the loop is one
-    contiguous pass. p1's last row and p2's last column stay zero, the
-    zero-gradient boundary; p1's last row is also p2's leading padding.
+    The dual loop runs in float32; it is the hot path of the solve, and the
+    slice comparison (done in float64) absorbs the rounding. TV acts within
+    each time slice, so the loop runs on one block of whole slices at a
+    time: a contiguous (H, W, tb) copy small enough that its dual state
+    stays in cache for all the inner iterations. Per block, one flat
+    buffer holds a zero row, then p1, then p2, so each field shifted back
+    by one row (p1, stride W*tb) or one column (p2, stride tb) is a
+    contiguous slice too, and every step of the loop is one contiguous
+    pass. p1's last row and p2's last column stay zero, the zero-gradient
+    boundary; p1's last row is also p2's leading padding.
     """
     if weight < 0:
         raise ValueError("negative weight")
@@ -168,32 +172,46 @@ def prox_tv_nonneg(v, weight, inner_iters=20):
     clipped = np.maximum(vol, 0.0)
     if weight == 0 or inner_iters == 0:
         return clipped
-    n = vol.size
-    row = vol.shape[1] * vol.shape[2]  # flat stride of the row axis
-    col = vol.shape[2]  # flat stride of the column axis
-    dual = np.zeros(row + 2 * n, dtype=np.float32)
-    p1, p1_prev = dual[row : row + n], dual[:n]
-    p2, p2_prev = dual[row + n :], dual[row + n - col : row + 2 * n - col]
-    live = dual[row:]
-    step = np.zeros(2 * n, dtype=np.float32)
-    g1, g2 = step[: n - row], step[n : 2 * n - col]  # p1's last row: no step
-    g2_wrap = step[n:].reshape(vol.shape)[:, -1]  # differences across a row end
-    u = np.empty(n, dtype=np.float32)
-    vw = (vol / weight).astype(np.float32).ravel()
-    for it in range(inner_iters + 1):
-        np.subtract(p1, p1_prev, out=u)  # u = div p, the adjoint of -grad
-        u += p2
-        u -= p2_prev
-        if it == inner_iters:
-            break
-        u -= vw
-        np.subtract(u[row:], u[: n - row], out=g1)
-        np.subtract(u[col:], u[: n - col], out=g2)
-        g2_wrap[...] = 0.0
-        step *= _PROX_TAU
-        live += step
-        np.clip(live, -1.0, 1.0, out=live)
-    x = np.maximum(vol - weight * u.reshape(vol.shape).astype(np.float64), 0.0)
+    height, width, slices = vol.shape
+    tb = max(1, min(slices, _PROX_BLOCK_VOXELS // max(1, height * width)))
+    cap = height * width * tb
+    dual_buf = np.empty(width * tb + 2 * cap, dtype=np.float32)
+    step_buf = np.empty(2 * cap, dtype=np.float32)
+    vw_buf = np.empty(cap, dtype=np.float32)
+    u_buf = np.empty(cap, dtype=np.float32)
+    div = np.empty(vol.shape, dtype=np.float32)
+    for t0 in range(0, slices, tb):
+        block = vol[:, :, t0 : t0 + tb]
+        n = block.size
+        row = block.shape[1] * block.shape[2]  # flat stride of the row axis
+        col = block.shape[2]  # flat stride of the column axis
+        dual = dual_buf[: row + 2 * n]
+        dual.fill(0.0)
+        p1, p1_prev = dual[row : row + n], dual[:n]
+        p2, p2_prev = dual[row + n :], dual[row + n - col : row + 2 * n - col]
+        live = dual[row:]
+        step = step_buf[: 2 * n]
+        step.fill(0.0)
+        g1, g2 = step[: n - row], step[n : 2 * n - col]  # p1's last row: no step
+        g2_wrap = step[n:].reshape(block.shape)[:, -1]  # differences across a row end
+        u = u_buf[:n]
+        vw = vw_buf[:n]
+        np.divide(block, weight, out=vw.reshape(block.shape))
+        for it in range(inner_iters + 1):
+            np.subtract(p1, p1_prev, out=u)  # u = div p, the adjoint of -grad
+            u += p2
+            u -= p2_prev
+            if it == inner_iters:
+                break
+            u -= vw
+            np.subtract(u[row:], u[: n - row], out=g1)
+            np.subtract(u[col:], u[: n - col], out=g2)
+            g2_wrap[...] = 0.0
+            step *= _PROX_TAU
+            live += step
+            np.clip(live, -1.0, 1.0, out=live)
+        div[:, :, t0 : t0 + tb] = u.reshape(block.shape)
+    x = np.maximum(vol - weight * div.astype(np.float64), 0.0)
     # "not <=" also replaces a slice whose float32 dual loop overflowed to NaN
     ok = _slice_objectives(x, vol, weight) <= _slice_objectives(clipped, vol, weight)
     x[:, :, ~ok] = clipped[:, :, ~ok]

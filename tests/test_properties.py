@@ -4,6 +4,7 @@ conftest.py: derandomized, no example database)."""
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from splidar import io
+from splidar import io, solver
 from splidar.forward import convolve3d, convolve3d_adjoint
 from splidar.solver import prox_tv_nonneg
 
@@ -114,16 +115,7 @@ def _reference_prox(v, weight, inner_iters):
     return x
 
 
-@given(
-    hnp.array_shapes(min_dims=3, max_dims=3, max_side=7),
-    seeds,
-    st.sampled_from(["dense", "sparse", "non-positive", "signed zeros"]),
-    st.one_of(st.floats(1e-3, 5.0), st.floats(1e-308, 1e-30)),
-    st.integers(0, 25),
-)
-def test_prox_matches_the_sliced_reference_byte_for_byte(shape, seed, kind,
-                                                         weight, inner_iters):
-    rng = np.random.default_rng(seed)
+def _prox_input(rng, shape, kind):
     v = 3.0 * rng.standard_normal(shape)
     if kind == "sparse":
         v[rng.random(shape) < 0.8] = 0.0
@@ -131,6 +123,10 @@ def test_prox_matches_the_sliced_reference_byte_for_byte(shape, seed, kind,
         v = -np.abs(v)
     elif kind == "signed zeros":
         v[rng.random(shape) < 0.5] = -0.0
+    return v
+
+
+def _assert_prox_matches_reference(v, weight, inner_iters):
     before = v.tobytes()
     with np.errstate(over="ignore", invalid="ignore"):  # v / weight may overflow
         expected = _reference_prox(v, weight, inner_iters)
@@ -138,6 +134,35 @@ def test_prox_matches_the_sliced_reference_byte_for_byte(shape, seed, kind,
     assert v.tobytes() == before
     assert x.shape == expected.shape and x.dtype == expected.dtype
     assert x.tobytes() == expected.tobytes()
+
+
+@given(
+    st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 12)),
+    seeds,
+    st.sampled_from(["dense", "sparse", "non-positive", "signed zeros"]),
+    st.one_of(st.floats(1e-3, 5.0), st.floats(1e-308, 1e-30)),
+    st.integers(0, 25),
+    st.data(),
+)
+def test_prox_matches_the_sliced_reference_byte_for_byte(shape, seed, kind,
+                                                         weight, inner_iters,
+                                                         data):
+    # blocks of 1 .. T slices, so most shapes span several blocks and
+    # many end on a partial one; the remainder checks the floor division
+    h, w, t = shape
+    slices = data.draw(st.integers(1, t), label="slices per block")
+    block = slices * h * w + data.draw(st.integers(0, h * w - 1), label="extra")
+    v = _prox_input(np.random.default_rng(seed), shape, kind)
+    with mock.patch.object(solver, "_PROX_BLOCK_VOXELS", block):
+        _assert_prox_matches_reference(v, weight, inner_iters)
+
+
+def test_prox_matches_the_sliced_reference_on_the_chart_shape():
+    shape = (120, 128, 64)
+    # the shipped block size splits this shape into several multi-slice blocks
+    assert 2 * shape[0] * shape[1] <= solver._PROX_BLOCK_VOXELS < np.prod(shape)
+    v = _prox_input(np.random.default_rng(0), shape, "signed zeros")
+    _assert_prox_matches_reference(v, 0.05, 20)
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
