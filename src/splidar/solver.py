@@ -196,6 +196,7 @@ def prox_tv_nonneg(v, weight, inner_iters=20):
         g2_wrap = step[n:].reshape(block.shape)[:, -1]  # differences across a row end
         u = u_buf[:n]
         vw = vw_buf[:n]
+        # the float64 quotient, rounded to float32 as astype would
         np.divide(block, weight, out=vw.reshape(block.shape))
         for it in range(inner_iters + 1):
             np.subtract(p1, p1_prev, out=u)  # u = div p, the adjoint of -grad

@@ -244,8 +244,8 @@ def test_blocked_convolution_matches_ndimage_byte_for_byte(n, jitter):
         shape = (height, width, slices)
         signed = rng.standard_normal(shape)
         sparse = np.where(rng.random(shape) < 0.9, 0.0, rng.random(shape))
-        zeros = np.where(rng.random(shape) < 0.5, -0.0, signed)
-        for x in (signed, sparse, zeros, np.full(shape, -0.0)):
+        signed_zeros = np.where(rng.random(shape) < 0.5, -0.0, signed)
+        for x in (signed, sparse, signed_zeros, np.full(shape, -0.0)):
             expected = ndimage_passes(k, x).tobytes()
             assert convolve3d(k, x, 0.0).tobytes() == expected
             assert convolve3d_adjoint(k, x).tobytes() == expected
