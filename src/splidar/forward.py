@@ -11,7 +11,7 @@ The temporal response g_t models total system jitter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -78,52 +78,36 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Separable response g = spatial (2n+1)x(2n+1) outer temporal (odd m).
+    """Separable response g = xy (x) xy (x) temporal: one spatial factor
+    for both scan axes, one temporal factor.
 
-    Both factors are non-negative, symmetric about their centers, and sum
-    to 1, so the full 3D kernel also has unit mass. The spatial factor must
-    be rank 1; its column and row vectors (col, row) are split off once here
-    and drive every convolution.
-
-    Symmetry is checked to 1e-12. The column pass assumes it exactly: it
-    sums (x[i-s] + x[i+s]) * w_s, ndimage.convolve1d's form for a filter
-    symmetric to DBL_EPSILON, so with such a col (make_kernel's are) the
-    convolution has ndimage's bytes; otherwise it agrees to rounding.
+    Each factor is a finite, non-negative, odd-length 1D array that sums to
+    1 and equals its own reverse exactly, so the 3D kernel has unit mass and
+    is centrally symmetric. Exact symmetry is what the column pass relies
+    on: it sums (x[i-s] + x[i+s]) * w_s, ndimage.convolve1d's form for a
+    symmetric filter, so the convolution has ndimage's bytes.
     """
 
-    spatial: np.ndarray
+    xy: np.ndarray
     temporal: np.ndarray
-    n: int
-    col: np.ndarray = field(init=False, repr=False)
-    row: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        s = np.asarray(self.spatial, dtype=np.float64)
-        t = np.asarray(self.temporal, dtype=np.float64)
-        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] != 2 * self.n + 1:
-            raise ValueError(f"spatial factor must be (2n+1) square, got {s.shape}")
-        if t.ndim != 1 or t.size % 2 == 0:
-            raise ValueError(f"temporal factor must be odd-length 1D, got {t.shape}")
-        if s.min() < 0 or t.min() < 0:
-            raise ValueError("kernel factors must be non-negative")
-        for name, arr, total in (("spatial", s, s.sum()), ("temporal", t, t.sum())):
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"{name} factor sums to {total}, expected 1")
-        if not np.allclose(s, s[::-1, ::-1], atol=1e-12) or not np.allclose(
-            t, t[::-1], atol=1e-12
-        ):
-            raise ValueError("kernel factors must be centrally symmetric")
-        u, sv, vt = np.linalg.svd(s)
-        if sv.size > 1 and sv[1] > 1e-12 * sv[0]:
-            raise ValueError("spatial factor must be rank 1 (separable)")
-        col, row = u[:, 0] * sv[0], vt[0]
-        # fix sign so both factors are non-negative
-        if col.sum() < 0:
-            col, row = -col, -row
-        object.__setattr__(self, "spatial", s)
-        object.__setattr__(self, "temporal", t)
-        object.__setattr__(self, "col", col)
-        object.__setattr__(self, "row", row)
+        for name in ("xy", "temporal"):
+            f = np.asarray(getattr(self, name), dtype=np.float64)
+            if f.ndim != 1 or f.size % 2 == 0:
+                raise ValueError(f"{name} factor must be odd-length 1D, got {f.shape}")
+            if not np.isfinite(f).all() or f.min() < 0:
+                raise ValueError(f"{name} factor must be finite and non-negative")
+            if abs(f.sum() - 1.0) > 1e-9:
+                raise ValueError(f"{name} factor sums to {f.sum()}, expected 1")
+            if not np.array_equal(f, f[::-1]):
+                raise ValueError(f"{name} factor must equal its reverse exactly")
+            object.__setattr__(self, name, f)
+
+    @property
+    def n(self):
+        """Spatial radius: the xy factor has 2n + 1 taps."""
+        return self.xy.size // 2
 
 
 def _sampled_gaussian(radius, sigma):
@@ -138,20 +122,18 @@ def _sampled_gaussian(radius, sigma):
 def make_kernel(config):
     """Sampled-Gaussian kernel for a scan configuration.
 
-    Spatial: FWHM = 2n fine pixels, truncated to (2n+1)x(2n+1) and
+    Spatial: FWHM = 2n fine pixels, truncated to 2n+1 taps per axis and
     renormalized; the truncation to one footprint is deliberate and makes
     the effective response tighter than an untruncated Gaussian. Temporal:
     FWHM = jitter_fwhm/bin_width bins, truncated at +-3 sigma (odd length),
-    renormalized. jitter_fwhm = 0 degenerates to a one-bin spike.
+    renormalized. jitter_fwhm = 0 degenerates to a one-bin spike. Offsets
+    -k and k give the same sample, so both factors are exactly symmetric.
     """
     sigma_xy = config.fov_fwhm_pixels * _FWHM_TO_SIGMA
-    g1 = _sampled_gaussian(config.n, sigma_xy)
-    spatial = np.outer(g1, g1)
-    spatial /= spatial.sum()
     sigma_t = (config.jitter_fwhm / config.bin_width) * _FWHM_TO_SIGMA
     radius_t = max(1, math.ceil(3.0 * sigma_t)) if sigma_t > 0 else 0
-    temporal = _sampled_gaussian(radius_t, sigma_t)
-    return Kernel(spatial=spatial, temporal=temporal, n=config.n)
+    return Kernel(xy=_sampled_gaussian(config.n, sigma_xy),
+                  temporal=_sampled_gaussian(radius_t, sigma_t))
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +148,17 @@ def _separable_passes(kernel, volume):
     The column pass adds shifted contiguous slices of one zero-padded copy
     in ndimage's form for a symmetric filter, x*w0 + sum over s = r..1 of
     (x[i-s] + x[i+s])*w_s, so its bytes, signed zeros included, are those
-    of ndimage.convolve1d. The row and time passes (strides T and 1 within
+    of ndimage.convolve1d (Kernel enforces the exact symmetry that form
+    needs). The row and time passes (strides T and 1 within
     a block) are ndimage.convolve1d into preallocated block buffers."""
     vol = _as_volume(volume)
     if vol.ndim != 3:
         raise ValueError(f"expected 3D volume, got {vol.shape}")
-    side, m = kernel.spatial.shape[0], kernel.temporal.size
+    side, m = kernel.xy.size, kernel.temporal.size
     if side > vol.shape[0] or side > vol.shape[1] or m > vol.shape[2]:
-        raise ValueError(
-            f"kernel {kernel.spatial.shape}+{kernel.temporal.shape} "
-            f"larger than volume {vol.shape}"
-        )
+        raise ValueError(f"kernel {side}x{side}x{m} larger than volume {vol.shape}")
     height, width, slices = vol.shape
-    r, col = kernel.n, kernel.col
+    r, xy = kernel.n, kernel.xy
     padded = np.zeros((height + 2 * r, width, slices))
     padded[r : r + height] = vol
     out = np.empty(vol.shape)
@@ -188,13 +168,13 @@ def _separable_passes(kernel, volume):
     for i0 in range(0, height, rows):
         i1 = min(i0 + rows, height)
         acc, tmp = acc_buf[: i1 - i0], tmp_buf[: i1 - i0]
-        np.multiply(padded[i0 + r : i1 + r], col[r], out=acc)
+        np.multiply(padded[i0 + r : i1 + r], xy[r], out=acc)
         for s in range(r, 0, -1):
             np.add(padded[i0 + r - s : i1 + r - s], padded[i0 + r + s : i1 + r + s],
                    out=tmp)
-            tmp *= col[r + s]  # ndimage correlates with the reversed filter
+            tmp *= xy[r + s]
             acc += tmp
-        ndimage.convolve1d(acc, kernel.row, axis=1, mode="constant", output=tmp)
+        ndimage.convolve1d(acc, xy, axis=1, mode="constant", output=tmp)
         ndimage.convolve1d(tmp, kernel.temporal, axis=2, mode="constant",
                            output=out[i0:i1])
     return out
@@ -215,8 +195,8 @@ def convolve3d(kernel, volume, background_per_bin=0.0):
 
 
 def convolve3d_adjoint(kernel, volume):
-    """Backprojection: correlation with g. Kernel factors are centrally
-    symmetric, so this is the same convolution, without the background."""
+    """Backprojection: correlation with g. Kernel factors equal their
+    reverse, so this is the same convolution, without the background."""
     return _separable_passes(kernel, volume)
 
 

@@ -94,7 +94,7 @@ def identity_run():
     for i in range(12):
         for j in range(12):
             truth[i, j, rng.integers(0, 24)] = 1000.0 * (0.3 + 0.7 * rng.random())
-    delta = Kernel(spatial=np.ones((1, 1)), temporal=np.ones(1), n=0)
+    delta = Kernel(xy=np.ones(1), temporal=np.ones(1))
     config = SolverConfig(beta=0.0, max_iters=50, rel_tol=1e-12)
     volume, report = spiral_solve(
         truth, delta, 0.0, config, init=np.ones_like(truth)

@@ -72,16 +72,18 @@ def test_rayleigh_unit_ratio_and_errors():
 
 
 def test_kernel_sizes_follow_n():
-    assert make_kernel(ScanConfig(n=1)).spatial.shape == (3, 3)
-    assert make_kernel(ScanConfig(n=4)).spatial.shape == (9, 9)
+    for n in (1, 4):
+        k = make_kernel(ScanConfig(n=n))
+        assert k.xy.shape == (2 * n + 1,)
+        assert k.n == n
 
 
 def test_kernel_normalization_and_symmetry():
     k = make_kernel(ScanConfig(n=4))
-    assert abs(k.spatial.sum() - 1.0) < 1e-12
+    assert abs(k.xy.sum() - 1.0) < 1e-12
     assert abs(k.temporal.sum() - 1.0) < 1e-12
-    np.testing.assert_allclose(k.spatial, k.spatial[::-1, ::-1])
-    np.testing.assert_allclose(k.temporal, k.temporal[::-1])
+    np.testing.assert_array_equal(k.xy, k.xy[::-1])
+    np.testing.assert_array_equal(k.temporal, k.temporal[::-1])
 
 
 def test_temporal_fwhm_measured_on_samples():
@@ -101,24 +103,25 @@ def test_temporal_fwhm_measured_on_samples():
 
 
 def test_kernel_type_invariants():
-    with pytest.raises(ValueError):
-        Kernel(spatial=np.ones((3, 3)) / 9, temporal=np.ones(2) / 2, n=1)
-    with pytest.raises(ValueError):
-        Kernel(spatial=np.ones((4, 4)) / 16, temporal=np.ones(1), n=1)
-    asym = np.ones(3) / 3
-    bad = asym.copy()
-    bad[0] = 0.5
-    bad /= bad.sum()
-    with pytest.raises(ValueError):
-        Kernel(spatial=np.ones((3, 3)) / 9, temporal=bad, n=1)
-
-
-def test_kernel_rejects_non_separable_spatial():
-    # centrally symmetric, non-negative, unit mass, but rank 3
-    with pytest.raises(ValueError, match="rank 1"):
-        Kernel(spatial=np.eye(3) / 3, temporal=np.ones(1), n=1)
-    k = make_kernel(ScanConfig(n=3))
-    np.testing.assert_allclose(np.outer(k.col, k.row), k.spatial, atol=1e-15)
+    good = np.array([0.25, 0.5, 0.25])
+    off_by_one_ulp = good.copy()
+    off_by_one_ulp[0] = np.nextafter(0.25, 1.0)
+    nan = good.copy()
+    nan[1] = np.nan
+    for bad in (
+        np.ones(2) / 2,  # even length
+        np.ones((3, 3)) / 9,  # 2D
+        np.array([-0.25, 1.5, -0.25]),  # negative entry
+        np.ones(3) / 2,  # sums to 1.5
+        nan,
+        off_by_one_ulp,
+    ):
+        with pytest.raises(ValueError):
+            Kernel(xy=bad, temporal=np.ones(1))
+        with pytest.raises(ValueError):
+            Kernel(xy=np.ones(1), temporal=bad)
+    k = Kernel(xy=good.tolist(), temporal=np.ones(1))
+    assert k.xy.dtype == np.float64 and k.n == 1
 
 
 def test_zero_jitter_gives_temporal_delta():
@@ -130,23 +133,20 @@ def test_zero_jitter_gives_temporal_delta():
 
 
 def delta_kernel():
-    return Kernel(spatial=np.ones((1, 1)), temporal=np.ones(1), n=0)
+    return Kernel(xy=np.ones(1), temporal=np.ones(1))
 
 
 def random_separable_kernel(rng, n, m):
-    """Random non-negative Kernel: outer product of two different centrally
-    symmetric vectors in space, a symmetric length-m vector in time. The
-    SVD split can leave col or row a few ulps past DBL_EPSILON from
-    symmetric (53 of 2000 draws with n 0-2, m 1-7), so tests compare
-    convolutions with these kernels to a tolerance, not byte for byte."""
+    """Random non-negative Kernel: an exactly symmetric random xy factor of
+    2n+1 taps and temporal factor of m taps (v + v[::-1] is symmetric to
+    the bit, and so is its normalization)."""
 
     def sym(size):
         v = rng.random(size)
-        return v + v[::-1]
+        v = v + v[::-1]
+        return v / v.sum()
 
-    spatial = np.outer(sym(2 * n + 1), sym(2 * n + 1))
-    temporal = sym(m)
-    return Kernel(spatial / spatial.sum(), temporal / temporal.sum(), n)
+    return Kernel(xy=sym(2 * n + 1), temporal=sym(m))
 
 
 def test_delta_kernel_is_identity():
@@ -167,13 +167,14 @@ def test_unit_voxel_reproduces_kernel_oracle():
     x = np.zeros((9, 9, 31))
     x[4, 4, 15] = 1.0
     out = convolve3d(k, x, 0.0)
-    oracle = brute_force_conv3d(k.spatial, k.temporal, x)
+    spatial = np.outer(k.xy, k.xy)
+    oracle = brute_force_conv3d(spatial, k.temporal, x)
     np.testing.assert_allclose(out, oracle, atol=1e-14)
     # center neighborhood equals the outer-product kernel itself
     r = k.temporal.size // 2
     np.testing.assert_allclose(
         out[0:9, 0:9, 15 - r : 15 + r + 1],
-        k.spatial[:, :, None] * k.temporal[None, None, :],
+        spatial[:, :, None] * k.temporal[None, None, :],
         atol=1e-14,
     )
 
@@ -185,7 +186,7 @@ def test_convolution_matches_brute_force_on_random_separable_kernels():
         x = rng.random((6, 5, 7))
         np.testing.assert_allclose(
             convolve3d(k, x, 0.0),
-            brute_force_conv3d(k.spatial, k.temporal, x),
+            brute_force_conv3d(np.outer(k.xy, k.xy), k.temporal, x),
             atol=1e-12,
         )
 
@@ -219,14 +220,9 @@ def test_adjoint_identity_on_gaussian_and_random_separable_kernels():
 
 def ndimage_passes(kernel, x):
     """The convolution as three whole-array ndimage passes (reference)."""
-    out = ndimage.convolve1d(x, kernel.col, axis=0, mode="constant")
-    out = ndimage.convolve1d(out, kernel.row, axis=1, mode="constant")
+    out = ndimage.convolve1d(x, kernel.xy, axis=0, mode="constant")
+    out = ndimage.convolve1d(out, kernel.xy, axis=1, mode="constant")
     return ndimage.convolve1d(out, kernel.temporal, axis=2, mode="constant")
-
-
-def symmetric_to_dbl_epsilon(f):
-    """ndimage.convolve1d's test for its symmetric-pair path."""
-    return bool((np.abs(f - f[::-1]) <= np.finfo(np.float64).eps).all())
 
 
 @pytest.mark.parametrize("jitter", [0.0, 1e-9, 3e-9])
@@ -234,21 +230,21 @@ def symmetric_to_dbl_epsilon(f):
 def test_blocked_convolution_matches_ndimage_byte_for_byte(n, jitter):
     cfg = ScanConfig(n=n, jitter_fwhm=jitter, bin_width=1.6e-9, n_bins=64)
     k = make_kernel(cfg)
-    assert all(symmetric_to_dbl_epsilon(f) for f in (k.col, k.row, k.temporal))
+    rng = np.random.default_rng(n)
     width, slices = 2 * n + 3, 16
     rows = forward._CONV_BLOCK_VOXELS // (width * slices)
     assert rows > 2 * n + 2
-    rng = np.random.default_rng(n)
     # one short block; one block less a row; two blocks and a partial third
     for height in (2 * n + 1, rows - 1, 2 * rows + 3):
         shape = (height, width, slices)
         signed = rng.standard_normal(shape)
         sparse = np.where(rng.random(shape) < 0.9, 0.0, rng.random(shape))
         signed_zeros = np.where(rng.random(shape) < 0.5, -0.0, signed)
-        for x in (signed, sparse, signed_zeros, np.full(shape, -0.0)):
-            expected = ndimage_passes(k, x).tobytes()
-            assert convolve3d(k, x, 0.0).tobytes() == expected
-            assert convolve3d_adjoint(k, x).tobytes() == expected
+        for kernel in (k, random_separable_kernel(rng, n, k.temporal.size)):
+            for x in (signed, sparse, signed_zeros, np.full(shape, -0.0)):
+                expected = ndimage_passes(kernel, x).tobytes()
+                assert convolve3d(kernel, x, 0.0).tobytes() == expected
+                assert convolve3d_adjoint(kernel, x).tobytes() == expected
 
 
 def test_kernel_larger_than_volume_errors():

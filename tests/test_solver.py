@@ -44,7 +44,7 @@ def test_nll_matches_loop_oracle():
     x = rng.random((5, 5, 8)) * 3
     y = rng.poisson(2.0, size=(5, 5, 8)).astype(np.float64)
     b, floor = 0.3, 1e-10
-    lam = brute_force_conv3d(k.spatial, k.temporal, x) + b
+    lam = brute_force_conv3d(np.outer(k.xy, k.xy), k.temporal, x) + b
     oracle = float(np.sum(lam) - np.sum(y * np.log(np.maximum(lam, floor))))
     got = neg_log_likelihood(x, y, k, b)
     assert got == pytest.approx(oracle, rel=1e-12)
@@ -78,7 +78,7 @@ def test_gradient_zero_at_perfect_fit():
     rng = np.random.default_rng(1)
     k = small_kernel()
     x = rng.random((6, 6, 8))
-    lam = brute_force_conv3d(k.spatial, k.temporal, x) + 0.2
+    lam = brute_force_conv3d(np.outer(k.xy, k.xy), k.temporal, x) + 0.2
     g = nll_gradient(x, lam, k, 0.2)
     assert np.abs(g).max() < 1e-12
 
