@@ -272,20 +272,13 @@ def simulate(scene, config, ppp, sbr, seed):
     """Sample a photon-count cube from a scene.
 
     Pipeline: spike volume -> kernel convolution -> flux calibration ->
-    per-voxel Poisson draws. Each pixel gets its own child stream keyed by
-    (seed, i, j), so counts are reproducible bit for bit regardless of
-    traversal or parallelism.
+    per-voxel Poisson draws, all from one generator seeded with seed, so a
+    seed gives the same counts bit for bit.
     """
     rd = scene_to_rd(scene, config.bin_width, config.n_bins, config.t0)
-    kernel = make_kernel(config)
-    flux = convolve3d(kernel, rd, 0.0)
+    flux = convolve3d(make_kernel(config), rd, 0.0)
     alpha, background_per_bin = calibrate_flux(flux, ppp, sbr, config)
-    lam = alpha * flux + background_per_bin
-    counts = np.empty(lam.shape, dtype=np.int64)
-    for i in range(lam.shape[0]):
-        for j in range(lam.shape[1]):
-            rng = np.random.default_rng((seed, i, j))
-            counts[i, j, :] = rng.poisson(lam[i, j, :])
+    counts = np.random.default_rng(seed).poisson(alpha * flux + background_per_bin)
     return HistogramCube(
         counts=counts,
         config=config,

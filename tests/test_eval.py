@@ -99,7 +99,7 @@ def test_every_method_runs_far_below_one_photon_per_pixel():
                   depth=np.tile(np.repeat([2.0, 3.2], 4), (8, 1)))
     cfg = ScanConfig(n=1, jitter_fwhm=1e-9, bin_width=1.6e-9, n_bins=64)
     cube = simulate(scene, cfg, 0.02, 0.2, seed=2)
-    assert cube.counts.sum() == 7
+    assert cube.counts.sum() == 10
     for method in KNOWN_METHODS:
         maps, _, _, _ = reconstruct_cell(cube, method, SolverConfig())
         assert maps.valid.any()
