@@ -49,10 +49,16 @@ class ScanConfig:
     t0: float = 0.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n}")
-        if self.bin_width <= 0 or self.n_bins < 1:
-            raise ValueError("bin_width and n_bins must be positive")
+        for name in ("n", "n_bins"):
+            value = getattr(self, name)
+            if not (value >= 1 and float(value).is_integer()):
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
+            object.__setattr__(self, name, int(value))
+        for name in ("jitter_fwhm", "bin_width", "rep_period", "sbr_window", "t0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.bin_width <= 0:
+            raise ValueError("bin_width must be positive")
         if self.jitter_fwhm < 0:
             raise ValueError("negative jitter_fwhm")
         if self.n_bins * self.bin_width > self.rep_period:
@@ -66,10 +72,10 @@ class ScanConfig:
 
     def to_dict(self):
         return {
-            "n": int(self.n),
+            "n": self.n,
             "jitter_fwhm": float(self.jitter_fwhm),
             "bin_width": float(self.bin_width),
-            "n_bins": int(self.n_bins),
+            "n_bins": self.n_bins,
             "rep_period": float(self.rep_period),
             "sbr_window": float(self.sbr_window),
             "t0": float(self.t0),

@@ -36,6 +36,8 @@ class Scene:
             raise ValueError(f"grid shapes differ: {r.shape} vs {d.shape}")
         if r.size == 0:
             raise ValueError("empty scene")
+        if not (np.isfinite(r).all() and np.isfinite(d).all()):
+            raise ValueError("reflectivity and depth must be finite")
         if r.min() < 0:
             raise ValueError("negative reflectivity")
         object.__setattr__(self, "reflectivity", r)
@@ -265,4 +267,9 @@ def load_scene_dir(scene_dir):
         d_min=meta["d_min"],
         d_max=meta["d_max"],
     )
+    if (meta["height"], meta["width"]) != (scene.height, scene.width):
+        raise ValueError(
+            f"{meta_path} says {meta['height']}x{meta['width']}, "
+            f"the rasters are {scene.height}x{scene.width}"
+        )
     return scene, meta

@@ -346,6 +346,11 @@ def test_experiment_bad_spec_is_usage_error(tmp_path, capsys):
         raw["scene"] = {"kind": "chart", "r_bg": value}
         stale.write_text(json.dumps(raw))
         assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
+    for key, value in (("n_bins", 64.5), ("t0", float("nan"))):  # simulate cannot use them
+        raw = experiment_spec_dict(tmp_path)
+        raw["scan"][key] = value
+        stale.write_text(json.dumps(raw))
+        assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
     raw["scene"] = {"kind": "dir", "path": "scène"}  # specs are read as ASCII
     stale.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
     assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2

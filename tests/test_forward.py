@@ -292,6 +292,16 @@ def test_scan_config_invariants():
         ScanConfig(n_bins=4096, bin_width=1e-8, rep_period=1e-5)
     with pytest.raises(ValueError):
         ScanConfig(sbr_window=1.0)
+    for bad in ({"n_bins": 64.5}, {"n": 2.5}, {"n_bins": float("inf")}):
+        with pytest.raises(ValueError, match="integer"):
+            ScanConfig(**bad)
+    for name in ("jitter_fwhm", "bin_width", "rep_period", "sbr_window", "t0"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ScanConfig(**{name: bad})
+    cfg = ScanConfig(n=3.0, n_bins=64.0, bin_width=1.6e-9)
+    assert type(cfg.n) is int and type(cfg.n_bins) is int
+    assert cfg == ScanConfig(n=3, n_bins=64, bin_width=1.6e-9)
     assert ScanConfig(n=3).fov_fwhm_pixels == 6
 
 

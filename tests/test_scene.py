@@ -64,6 +64,13 @@ def test_scene_validation():
         Scene(reflectivity=np.ones((2, 2)), depth=np.ones((3, 2)))
     with pytest.raises(ValueError):
         Scene(reflectivity=-np.ones((2, 2)), depth=np.ones((2, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.ones((2, 2))
+        values[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Scene(reflectivity=values, depth=np.ones((2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            Scene(reflectivity=np.ones((2, 2)), depth=values)
 
 
 def test_scene_to_rd_places_single_spikes():
@@ -171,6 +178,10 @@ def test_scene_dir_round_trip(tmp_path):
     # binning is not ground truth: a scene that carries it is refused
     (tmp_path / "s" / "meta.json").write_text(json.dumps({**meta, "bin_width": 4e-10}))
     with pytest.raises(ValueError, match="bin_width"):
+        load_scene_dir(tmp_path / "s")
+    # a sidecar that disagrees with its rasters is refused, naming both shapes
+    (tmp_path / "s" / "meta.json").write_text(json.dumps({**meta, "height": 7, "width": 9}))
+    with pytest.raises(ValueError, match="7x9.*120x128"):
         load_scene_dir(tmp_path / "s")
 
 
