@@ -230,10 +230,10 @@ def ndimage_passes(kernel, x):
 def test_blocked_convolution_matches_ndimage_byte_for_byte(n, jitter):
     cfg = ScanConfig(n=n, jitter_fwhm=jitter, bin_width=1.6e-9, n_bins=64)
     k = make_kernel(cfg)
-    rng = np.random.default_rng(n)
     width, slices = 2 * n + 3, 16
     rows = forward._CONV_BLOCK_VOXELS // (width * slices)
     assert rows > 2 * n + 2
+    rng = np.random.default_rng(n)
     # one short block; one block less a row; two blocks and a partial third
     for height in (2 * n + 1, rows - 1, 2 * rows + 3):
         shape = (height, width, slices)
