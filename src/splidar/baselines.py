@@ -57,12 +57,12 @@ def reconstruct_no_scan(cube, factor, window_half=None):
     factor = int(factor)
     g_t = make_kernel(coarse.config).temporal
     maps = pixelwise_ml(coarse, g_t, coarse.background_per_bin, window_half=window_half)
-    return Maps(
-        depth=_nn_upsample(maps.depth, factor),
-        reflectivity=_nn_upsample(maps.reflectivity, factor),
-        valid=_nn_upsample(maps.valid, factor),
-    )
+    return _nn_upsample_maps(maps, factor)
 
 
-def _nn_upsample(arr, factor):
-    return np.repeat(np.repeat(arr, factor, axis=0), factor, axis=1)
+def _nn_upsample_maps(maps, factor):
+    def up(arr):
+        return np.repeat(np.repeat(arr, factor, axis=0), factor, axis=1)
+
+    return Maps(depth=up(maps.depth), reflectivity=up(maps.reflectivity),
+                valid=up(maps.valid))

@@ -9,6 +9,7 @@ timings file so the scored outputs are byte-identical across reruns.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,12 +17,25 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .baselines import pixelwise_ml, reconstruct_no_scan
-from .forward import ScanConfig, make_kernel, save_cube, simulate
-from .scene import SPEED_OF_LIGHT, chart_layout, load_scene_dir, make_resolution_chart
-from .solver import SolverConfig, extract_depth_reflectivity, save_volume, spiral_solve
+from .baselines import _nn_upsample_maps, pixelwise_ml
+from .forward import ScanConfig, coarsen, make_kernel, save_cube, simulate
+from .scene import (
+    SPEED_OF_LIGHT,
+    RDVolume,
+    chart_layout,
+    load_scene_dir,
+    make_resolution_chart,
+)
+from .solver import (
+    SolverConfig,
+    _peak_maps,
+    extract_depth_reflectivity,
+    save_volume,
+    spiral_solve,
+)
 
 RESOLVED_THRESHOLD = 0.2  # contrast at or above this counts as resolved
+_GATE_SIGMAS = 5.0  # a bin holds signal above this many Poisson sigmas of background
 
 RESULTS_COLUMNS = (
     "method",
@@ -31,6 +45,7 @@ RESULTS_COLUMNS = (
     "rmse_bins",
     "contrasts",
     "iterations",
+    "window",
     "status",
 )
 
@@ -165,29 +180,75 @@ def _load_spec_scene(spec):
     return scene, None
 
 
+def _signal_window(counts, b, temporal_radius):
+    """The bins [lo, hi) that can hold signal, from the counts and b alone.
+
+    A bin qualifies when its pixel-summed count exceeds the background
+    H*W*b by more than _GATE_SIGMAS Poisson sigmas, sqrt(H*W*b). The window
+    runs from the first to the last qualifying bin, padded by 2r+1 bins on
+    each side (r the temporal kernel radius) and clipped to the histogram.
+    With no qualifying bin it is the whole histogram.
+    """
+    height, width, n_bins = counts.shape
+    mean = height * width * b
+    per_bin = counts.sum(axis=(0, 1))
+    hits = np.flatnonzero(per_bin > mean + _GATE_SIGMAS * math.sqrt(mean))
+    if not hits.size:
+        return 0, n_bins
+    pad = 2 * temporal_radius + 1
+    return max(0, int(hits[0]) - pad), min(n_bins, int(hits[-1]) + 1 + pad)
+
+
+def _at_full_depth(maps, lo, config):
+    """Maps read from the gated bins [lo, hi) as a bare array, at the full
+    histogram's depth scale: (t0 + (lo + k*) bin_width) c/2.
+
+    A bare array reads at bin_width 1 and t0 0, so each valid depth is
+    k* c/2 for an integer peak bin k*; c/2 is an integer too, so the
+    quotient below is k* exactly, and lo = 0 gives today's bytes.
+    """
+    k_star = maps.depth / (SPEED_OF_LIGHT / 2.0)
+    return _peak_maps(
+        lo + k_star, maps.reflectivity, maps.valid, config.t0, config.bin_width
+    )
+
+
 def reconstruct_cell(cube, method, solver):
-    """One reconstruction, reading reflectivity over the temporal kernel
-    half-width; noscan coarsens by one footprint, 2n. Returns (Maps, SolveReport
-    or None, RDVolume or None, settings), settings being the values used."""
-    kernel = make_kernel(cube.config)
+    """One reconstruction of the bins that can hold signal, reading
+    reflectivity over the temporal kernel half-width; noscan coarsens by one
+    footprint, 2n. Every method sees the same gated bins (_signal_window)
+    and writes maps at the full depth scale; the volume keeps the gated
+    bins, its t0 the time of the first. Returns (Maps, SolveReport or None,
+    RDVolume or None, settings), settings being the values used."""
+    config, b = cube.config, cube.background_per_bin
+    kernel = make_kernel(config)
     window_half = kernel.temporal.size // 2
-    settings = {"window_half": window_half}
+    lo, hi = _signal_window(cube.counts, b, window_half)
+    settings = {"window": [lo, hi], "window_half": window_half}
+    report = volume = None
     if method == "ml":
         maps = pixelwise_ml(
-            cube, kernel.temporal, cube.background_per_bin, window_half=window_half
+            cube.counts[:, :, lo:hi], kernel.temporal, b, window_half=window_half
         )
-        return maps, None, None, settings
-    if method == "noscan":
-        factor = 2 * cube.config.n
-        settings["factor"] = int(factor)
-        maps = reconstruct_no_scan(cube, factor, window_half=window_half)
-        return maps, None, None, settings
-    if method == "deconv3d":
+    elif method == "noscan":
+        factor = 2 * config.n
+        settings["factor"] = factor
+        coarse = coarsen(cube, factor).counts[:, :, lo:hi]
+        maps = _nn_upsample_maps(
+            pixelwise_ml(coarse, kernel.temporal, b, window_half=window_half), factor
+        )
+    elif method == "deconv3d":
         settings["solver"] = solver.to_dict()
-        volume, report = spiral_solve(cube, kernel, cube.background_per_bin, solver)
-        maps = extract_depth_reflectivity(volume, window_half=window_half)
-        return maps, report, volume, settings
-    raise ValueError(f"unknown method: {method}")
+        gated, report = spiral_solve(cube.counts[:, :, lo:hi], kernel, b, solver)
+        maps = extract_depth_reflectivity(gated, window_half=window_half)
+        volume = RDVolume(
+            data=gated.data,
+            bin_width=config.bin_width,
+            t0=config.t0 + lo * config.bin_width,
+        )
+    else:
+        raise ValueError(f"unknown method: {method}")
+    return _at_full_depth(maps, lo, config), report, volume, settings
 
 
 def run_experiment(spec, out_dir):
@@ -226,9 +287,10 @@ def run_experiment(spec, out_dir):
                 row.update(method=method, ppp=_fmt(ppp), seed=str(seed))
                 started = time.perf_counter()
                 try:
-                    maps, report, volume, _ = reconstruct_cell(
+                    maps, report, volume, settings = reconstruct_cell(
                         cubes[(ppp, seed)], method, spec.solver
                     )
+                    row["window"] = "{}:{}".format(*settings["window"])
                     mask = maps.valid & truth_valid
                     err_m = rmse(
                         np.nan_to_num(maps.depth), scene.depth, mask

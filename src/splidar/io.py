@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -90,9 +91,11 @@ def read_pgm(path):
     if binary:
         dtype = np.uint8 if maxval <= 255 else np.dtype(">u2")
         need = h * w * dtype.itemsize if maxval > 255 else h * w
-        raster = buf[offset : offset + need]
+        raster = buf[offset:]
         if len(raster) < need:
             raise ValueError(f"truncated graymap raster: {path}")
+        if len(raster) > need:
+            raise ValueError(f"{len(raster) - need} bytes after the graymap raster: {path}")
         values = np.frombuffer(raster, dtype=dtype).reshape(h, w)
     else:
         tokens, _ = _read_pnm_tokens(buf[offset:], h * w)
@@ -140,9 +143,11 @@ def read_pfm(path):
         raise ValueError(f"bad float map header: {path}")
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
     need = h * w * 4
-    raster = buf[offset : offset + need]
+    raster = buf[offset:]
     if len(raster) < need:
         raise ValueError(f"truncated float map raster: {path}")
+    if len(raster) > need:
+        raise ValueError(f"{len(raster) - need} bytes after the float map raster: {path}")
     values = np.frombuffer(raster, dtype=dtype).reshape(h, w)[::-1]
     return np.ascontiguousarray(values, dtype=np.float32)
 
@@ -234,13 +239,22 @@ def write_map(path, values, valid, kind, units):
 
 
 def read_map(path):
-    """Inverse of write_map. Returns (values, valid mask, meta dict)."""
+    """Inverse of write_map. Returns (values, valid mask, meta dict).
+
+    The graymap must use write_map's maxval, and the sidecar's span must be
+    finite with vmin <= vmax; anything else is a ValueError, since its codes
+    would decode to wrong or non-finite values.
+    """
     codes, maxval = read_pgm(path)
+    if maxval != MAP_LEVELS:
+        raise ValueError(f"map graymap has maxval {maxval}, expected {MAP_LEVELS}: {path}")
     meta = read_json_sidecar(path)
     if "vmin" not in meta or "vmax" not in meta:
         raise ValueError(f"map sidecar incomplete: {path}.json")
     valid = codes != MAP_INVALID
     lo, hi = float(meta["vmin"]), float(meta["vmax"])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"map sidecar span [{lo}, {hi}] not finite and ordered: {path}.json")
     values = np.zeros(codes.shape, dtype=np.float64)
     if hi > lo:
         values[valid] = lo + (codes[valid] - 1) / (MAP_LEVELS - 1) * (hi - lo)

@@ -133,6 +133,8 @@ def test_reconstruct_methods(cube_path, tmp_path, method):
         assert all(b <= a for a, b in zip(trace, trace[1:]))
     effective = json.loads((out / "reconstruct.json").read_text())
     assert effective["method"] == method
+    lo, hi = effective["window"]
+    assert 0 <= lo < hi <= 16
     values, valid, meta = read_map(out / "depth.pgm")
     assert values.shape == (8, 8)
     assert meta["kind"] == "depth"
@@ -257,6 +259,19 @@ def test_render_uniform_map(tmp_path):
     assert main(["render", str(tmp_path / "m.pgm"), "-o", str(out)]) == 0
     rgb = read_ppm(out)
     assert (rgb == 0).all()  # zero span normalizes to zero
+
+
+def test_render_refuses_a_map_whose_sidecar_span_is_nan(tmp_path, capsys):
+    from splidar.io import read_json, write_json_sidecar, write_map
+
+    write_map(tmp_path / "m.pgm", np.array([[1.0, 2.0]]), np.ones((1, 2), dtype=bool),
+              kind="depth", units="m")
+    meta = read_json(tmp_path / "m.pgm.json")
+    write_json_sidecar(tmp_path / "m.pgm", {**meta, "vmin": float("nan")})
+    out = tmp_path / "m.ppm"
+    assert main(["render", str(tmp_path / "m.pgm"), "-o", str(out)]) == 1
+    assert "span" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def experiment_spec_dict(scene_dir):

@@ -7,21 +7,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from splidar.baselines import pixelwise_ml, reconstruct_no_scan
 from splidar.evaluate import (
     KNOWN_METHODS,
     RESOLVED_THRESHOLD,
     RESULTS_COLUMNS,
     ExperimentSpec,
+    _signal_window,
     bar_contrast,
     reconstruct_cell,
     resolved_groups,
     rmse,
     run_experiment,
 )
-from splidar.forward import ScanConfig, simulate
-from splidar.io import sha256_file
-from splidar.scene import Scene, chart_layout, make_resolution_chart, save_scene
-from splidar.solver import SolverConfig
+from splidar.forward import HistogramCube, ScanConfig, make_kernel, simulate
+from splidar.io import read_cube, sha256_file
+from splidar.scene import (
+    SPEED_OF_LIGHT,
+    Scene,
+    chart_layout,
+    make_resolution_chart,
+    save_scene,
+)
+from splidar.solver import SolverConfig, extract_depth_reflectivity, spiral_solve
+
+from conftest import EXPERIMENT_SCAN
 
 
 # --- metrics ------------------------------------------------------------
@@ -106,6 +116,81 @@ def test_every_method_runs_far_below_one_photon_per_pixel():
         assert np.isfinite(maps.depth[maps.valid]).all()
 
 
+# --- range gate -----------------------------------------------------------
+
+
+def test_gate_spanning_every_bin_keeps_todays_bytes():
+    # one depth per bin, four pixels each: every bin holds signal
+    cfg = ScanConfig(n=1, jitter_fwhm=1e-9, bin_width=1.6e-9, n_bins=16,
+                     sbr_window=25e-9, t0=3.1e-9)
+    k = (np.arange(64) % 16).reshape(8, 8)
+    depth = (cfg.t0 + k * cfg.bin_width) * (SPEED_OF_LIGHT / 2.0)
+    cube = simulate(Scene(reflectivity=np.full((8, 8), 0.8), depth=depth),
+                    cfg, 20.0, 2.0, seed=4)
+    kernel = make_kernel(cfg)
+    r = kernel.temporal.size // 2
+    b = cube.background_per_bin
+    assert _signal_window(cube.counts, b, r) == (0, 16)
+    solver = SolverConfig(beta=0.05, max_iters=4)
+    # reconstruct_cell's methods as they were before the gate
+    volume, report = spiral_solve(cube, kernel, b, solver)
+    ungated = {
+        "ml": (pixelwise_ml(cube, kernel.temporal, b, window_half=r), None, None),
+        "noscan": (reconstruct_no_scan(cube, 2, window_half=r), None, None),
+        "deconv3d": (extract_depth_reflectivity(volume, window_half=r), report, volume),
+    }
+    for method, (maps, report, volume) in ungated.items():
+        got, got_report, got_volume, settings = reconstruct_cell(cube, method, solver)
+        assert settings["window"] == [0, 16]
+        for field in ("depth", "reflectivity", "valid"):
+            assert getattr(got, field).tobytes() == getattr(maps, field).tobytes()
+        if method == "deconv3d":
+            assert got_report.to_dict() == report.to_dict()
+            assert got_volume.data.tobytes() == volume.data.tobytes()
+            assert (got_volume.bin_width, got_volume.t0) == (volume.bin_width, volume.t0)
+
+
+def test_gate_keeps_both_surfaces_of_the_chart():
+    chart = make_resolution_chart(r_bg=0.3)  # bars at 3.0 m, background at 5.4 m
+    cube = simulate(chart, EXPERIMENT_SCAN, 10.0, 0.2, seed=0)
+    r = make_kernel(EXPERIMENT_SCAN).temporal.size // 2
+    lo, hi = _signal_window(cube.counts, cube.background_per_bin, r)
+    half_bin = EXPERIMENT_SCAN.bin_width * SPEED_OF_LIGHT / 2.0
+    for d in (3.0, 5.4):
+        k = int(np.rint(d / half_bin))
+        assert lo <= k - r and k + r < hi, (d, k, lo, hi)
+    assert hi - lo < EXPERIMENT_SCAN.n_bins
+
+
+def test_gate_keeps_every_count_at_zero_background():
+    # criterion 8's noiseless cube: one spike per pixel, b = 0
+    rng = np.random.default_rng(0)
+    truth = np.zeros((12, 12, 24))
+    for i in range(12):
+        for j in range(12):
+            truth[i, j, rng.integers(0, 24)] = 1000.0 * (0.3 + 0.7 * rng.random())
+    sparse = np.zeros((3, 3, 40), dtype=np.int64)
+    sparse[0, 1, 9], sparse[2, 2, 23] = 1, 2
+    for counts in (truth, sparse):
+        held = np.flatnonzero(counts.sum(axis=(0, 1)))
+        for r in (0, 1, 3):
+            lo, hi = _signal_window(counts, 0.0, r)
+            assert lo <= held.min() and held.max() < hi
+    assert _signal_window(sparse, 0.0, 1) == (6, 27)
+
+
+def test_gate_background_only_cube_gets_whole_window():
+    cfg = ScanConfig(n=1, jitter_fwhm=1e-9, bin_width=1.6e-9, n_bins=64)
+    b = 0.4
+    counts = np.random.default_rng(3).poisson(b, size=(32, 32, 64))
+    cube = HistogramCube(counts=counts, config=cfg, background_per_bin=b, rng_seed=3)
+    for method in ("ml", "noscan"):
+        _, _, _, settings = reconstruct_cell(cube, method, SolverConfig())
+        assert settings["window"] == [0, 64]
+    empty = np.zeros((4, 4, 16), dtype=np.int64)
+    assert _signal_window(empty, 0.0, 1) == (0, 16)
+
+
 def test_results_columns_frozen():
     assert RESULTS_COLUMNS == (
         "method",
@@ -115,6 +200,7 @@ def test_results_columns_frozen():
         "rmse_bins",
         "contrasts",
         "iterations",
+        "window",
         "status",
     )
 
@@ -251,6 +337,15 @@ def test_run_experiment_layout_and_rows(tmp_path, tiny_scene_dir):
     by_method = {(r["method"], r["seed"]): r for r in rows}
     assert by_method[("deconv3d", "0")]["iterations"] == str(report["iterations"])
     assert by_method[("ml", "0")]["iterations"] == "0"
+    # every cell of a cube reads the same gated bins; the volume keeps only
+    # those, and its t0 is the time of the first
+    windows = {(r["seed"], r["window"]) for r in rows}
+    assert len(windows) == 2
+    lo, hi = (int(v) for v in by_method[("deconv3d", "0")]["window"].split(":"))
+    assert 0 <= lo < hi <= 16 and hi - lo < 16
+    volume, meta = read_cube(cell / "volume.spr1")
+    assert volume.shape == (12, 12, hi - lo)
+    assert meta["t0"] == lo * 1.6e-9
 
 
 def test_run_experiment_deterministic_reruns(tmp_path, tiny_scene_dir):

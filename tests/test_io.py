@@ -167,3 +167,44 @@ def test_sha256_file(tmp_path):
     assert io.sha256_file(p) == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_pgm_rejects_trailing_bytes(tmp_path, maxval):
+    p = tmp_path / "t.pgm"
+    io.write_pgm(p, np.array([[1, 2], [3, 4]]), maxval=maxval)
+    p.write_bytes(p.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="after the graymap raster"):
+        io.read_pgm(p)
+
+
+def test_pfm_rejects_trailing_bytes(tmp_path):
+    p = tmp_path / "t.pfm"
+    io.write_pfm(p, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    p.write_bytes(p.read_bytes() + b"junk1234")
+    with pytest.raises(ValueError, match="8 bytes after the float map raster"):
+        io.read_pfm(p)
+
+
+def test_map_rejects_a_graymap_of_another_maxval(tmp_path):
+    # code 255 of 255 would decode as 0.039 m on a 0..10 m span, not 10 m
+    p = tmp_path / "m.pgm"
+    io.write_pgm(p, np.array([[1, 255]]), maxval=255)
+    io.write_json_sidecar(p, {"kind": "depth", "units": "m", "vmin": 0.0,
+                              "vmax": 10.0, "invalid": io.MAP_INVALID})
+    with pytest.raises(ValueError, match="maxval 255"):
+        io.read_map(p)
+
+
+@pytest.mark.parametrize("vmin, vmax", [
+    (float("nan"), 1.0), (0.0, float("nan")), (float("-inf"), 1.0),
+    (0.0, float("inf")), (2.0, 1.0),
+])
+def test_map_rejects_a_span_that_is_not_finite_and_ordered(tmp_path, vmin, vmax):
+    p = tmp_path / "m.pgm"
+    io.write_map(p, np.array([[0.5, 1.5]]), np.ones((1, 2), dtype=bool),
+                 kind="depth", units="m")
+    meta = io.read_json(str(p) + ".json")
+    io.write_json_sidecar(p, {**meta, "vmin": vmin, "vmax": vmax})
+    with pytest.raises(ValueError, match="span"):
+        io.read_map(p)

@@ -1,6 +1,7 @@
-"""Property tests: the adjoint identity, the TV prox guarantees and file
-round trips, each on shapes and values drawn by Hypothesis (profile in
-conftest.py: derandomized, no example database)."""
+"""Property tests: the adjoint identity, the TV prox guarantees, the range
+gate's effect on the ml estimator and file round trips, each on shapes and
+values drawn by Hypothesis (profile in conftest.py: derandomized, no example
+database)."""
 
 import tempfile
 from pathlib import Path
@@ -13,8 +14,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from splidar import io, solver
-from splidar.forward import convolve3d, convolve3d_adjoint
-from splidar.solver import prox_tv_nonneg
+from splidar.baselines import pixelwise_ml
+from splidar.evaluate import reconstruct_cell
+from splidar.forward import (
+    HistogramCube,
+    ScanConfig,
+    convolve3d,
+    convolve3d_adjoint,
+    make_kernel,
+)
+from splidar.scene import SPEED_OF_LIGHT
+from splidar.solver import SolverConfig, prox_tv_nonneg
 
 from test_forward import random_separable_kernel
 
@@ -163,6 +173,52 @@ def test_prox_matches_the_sliced_reference_on_the_chart_shape():
     assert 2 * shape[0] * shape[1] <= solver._PROX_BLOCK_VOXELS < np.prod(shape)
     v = _prox_input(np.random.default_rng(0), shape, "signed zeros")
     _assert_prox_matches_reference(v, 0.05, 20)
+
+
+@st.composite
+def returns_over_background(draw):
+    """A small cube: background b in every bin plus, per pixel, a pulse of
+    the scan's temporal kernel near one shared bin, so the gate often keeps
+    only part of the histogram."""
+    bin_width = draw(st.sampled_from([0.4e-9, 1e-9, 1.6e-9]))
+    n_bins = draw(st.integers(10, 40))
+    config = ScanConfig(
+        n=1, bin_width=bin_width, n_bins=n_bins, sbr_window=n_bins * bin_width,
+        jitter_fwhm=draw(st.sampled_from([0.0, 1.0, 2.5])) * bin_width,
+        t0=draw(st.sampled_from([0.0, 2.9e-9, 31e-9])),
+    )
+    g = make_kernel(config).temporal
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)), n_bins)
+    b = draw(st.sampled_from([0.0, 0.05, 0.4, 2.0]))
+    rng = np.random.default_rng(draw(seeds))
+    flux = np.full(shape, b)
+    center = draw(st.integers(0, n_bins - 1))
+    r = g.size // 2
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            k = int(np.clip(center + rng.integers(-3, 4), 0, n_bins - 1))
+            lo, hi = max(k - r, 0), min(k + r + 1, n_bins)
+            flux[i, j, lo:hi] += draw(st.floats(0.0, 30.0)) * g[lo - k + r : hi - k + r]
+    counts = rng.poisson(flux)
+    return HistogramCube(counts=counts, config=config, background_per_bin=b, rng_seed=0)
+
+
+@given(returns_over_background())
+def test_gated_ml_keeps_the_bytes_of_peaks_inside_the_window(cube):
+    # the log-matched-filter template is non-negative, so cutting the bins
+    # outside the window can only lower the score of a peak near its edge;
+    # a peak at least r bins inside keeps its score, its argmax and its sums
+    g = make_kernel(cube.config).temporal
+    r = g.size // 2
+    gated, _, _, settings = reconstruct_cell(cube, "ml", SolverConfig())
+    lo, hi = settings["window"]
+    ungated = pixelwise_ml(cube, g, cube.background_per_bin, window_half=r)
+    bare = pixelwise_ml(cube.counts, g, cube.background_per_bin, window_half=r)
+    k_star = np.where(bare.valid, bare.depth / (SPEED_OF_LIGHT / 2.0), -1)
+    inside = ungated.valid & (k_star >= lo + r) & (k_star < hi - r)
+    assert gated.valid[inside].all()
+    assert gated.depth[inside].tobytes() == ungated.depth[inside].tobytes()
+    assert gated.reflectivity[inside].tobytes() == ungated.reflectivity[inside].tobytes()
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
