@@ -224,12 +224,11 @@ def reconstruct_cell(cube, method, solver):
     kernel = make_kernel(config)
     window_half = kernel.temporal.size // 2
     lo, hi = _signal_window(cube.counts, b, window_half)
+    counts = cube.counts[:, :, lo:hi]
     settings = {"window": [lo, hi], "window_half": window_half}
     report = volume = None
     if method == "ml":
-        maps = pixelwise_ml(
-            cube.counts[:, :, lo:hi], kernel.temporal, b, window_half=window_half
-        )
+        maps = pixelwise_ml(counts, kernel.temporal, b, window_half=window_half)
     elif method == "noscan":
         factor = 2 * config.n
         settings["factor"] = factor
@@ -239,7 +238,7 @@ def reconstruct_cell(cube, method, solver):
         )
     elif method == "deconv3d":
         settings["solver"] = solver.to_dict()
-        gated, report = spiral_solve(cube.counts[:, :, lo:hi], kernel, b, solver)
+        gated, report = spiral_solve(counts, kernel, b, solver)
         maps = extract_depth_reflectivity(gated, window_half=window_half)
         volume = RDVolume(
             data=gated.data,
