@@ -8,7 +8,10 @@ where L(x) = sum(Lambda - Y * log(Lambda)), Lambda = g * x + b, by a monotone
 proximal gradient loop: Barzilai-Borwein inverse-step initialization, then
 backtracking until a sufficient-decrease test holds. TV is anisotropic and
 acts within time slices; its prox is approximated by a fixed number of dual
-fixed-point iterations so every run is deterministic.
+fixed-point iterations. Within one solve the dual fields carry over from
+each trial step, accepted or rejected, to the next, so a prox call starts
+where the previous one stopped; they start from zero in every solve, so
+reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ class SolveReport:
     iterations: int
     converged: bool
     final_rel_change: float
+    trial_steps: int  # prox calls, accepted and rejected
 
     def to_dict(self):
         return {
@@ -66,6 +70,7 @@ class SolveReport:
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
             "final_rel_change": float(self.final_rel_change),
+            "trial_steps": int(self.trial_steps),
         }
 
 
@@ -145,7 +150,7 @@ def tv_penalty(rd):
     return float(np.abs(x[1:] - x[:-1]).sum() + np.abs(x[:, 1:] - x[:, :-1]).sum())
 
 
-def prox_tv_nonneg(v, weight, inner_iters=20):
+def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
     """Approximate argmin_{x >= 0} 0.5||x - v||^2 + weight * TV(x).
 
     Runs a fixed number of projected dual fixed-point iterations (dual
@@ -154,6 +159,18 @@ def prox_tv_nonneg(v, weight, inner_iters=20):
     iterate and max(v, 0) has the lower sub-problem objective. That makes
     two guarantees unconditional: the output is non-negative, and its
     objective never exceeds the one at max(v, 0).
+
+    dual, if given, is a float32 array of shape (2, H, W, T) holding the
+    dual fields p1 and p2. The loop starts from it instead of zero and
+    leaves its final fields there, so a caller that passes one workspace to
+    successive calls (spiral_solve's trial steps) warm-starts each from the
+    last. p1's last row and p2's last column are the zero-gradient boundary
+    and are set to zero on entry; the fields of every slice the safeguard
+    replaces by max(v, 0) (every slice when the loop does not run) are set
+    to zero on exit, so a slice whose float32 loop overflowed to NaN starts
+    the next call cold. dual=None starts from zero. The output depends only
+    on v, weight, inner_iters and the starting fields, so a rerun of the
+    same sequence of calls gives the same bytes.
 
     The dual loop runs in float32; it is the hot path of the solve, and the
     slice comparison (done in float64) absorbs the rounding. TV acts within
@@ -169,13 +186,21 @@ def prox_tv_nonneg(v, weight, inner_iters=20):
     if weight < 0:
         raise ValueError("negative weight")
     vol = np.asarray(v, dtype=np.float64)
+    if dual is not None and not (
+        isinstance(dual, np.ndarray)
+        and dual.dtype == np.float32
+        and dual.shape == (2,) + vol.shape
+    ):
+        raise ValueError(f"dual must be a float32 array of shape {(2,) + vol.shape}")
     clipped = np.maximum(vol, 0.0)
     if weight == 0 or inner_iters == 0:
+        if dual is not None:
+            dual.fill(0.0)
         return clipped
     height, width, slices = vol.shape
     tb = max(1, min(slices, _PROX_BLOCK_VOXELS // max(1, height * width)))
     cap = height * width * tb
-    dual_buf = np.empty(width * tb + 2 * cap, dtype=np.float32)
+    fields_buf = np.empty(width * tb + 2 * cap, dtype=np.float32)
     step_buf = np.empty(2 * cap, dtype=np.float32)
     vw_buf = np.empty(cap, dtype=np.float32)
     u_buf = np.empty(cap, dtype=np.float32)
@@ -185,11 +210,17 @@ def prox_tv_nonneg(v, weight, inner_iters=20):
         n = block.size
         row = block.shape[1] * block.shape[2]  # flat stride of the row axis
         col = block.shape[2]  # flat stride of the column axis
-        dual = dual_buf[: row + 2 * n]
-        dual.fill(0.0)
-        p1, p1_prev = dual[row : row + n], dual[:n]
-        p2, p2_prev = dual[row + n :], dual[row + n - col : row + 2 * n - col]
-        live = dual[row:]
+        fields = fields_buf[: row + 2 * n]
+        p1, p1_prev = fields[row : row + n], fields[:n]
+        p2, p2_prev = fields[row + n :], fields[row + n - col : row + 2 * n - col]
+        live = fields[row:]
+        if dual is None:
+            fields.fill(0.0)
+        else:
+            fields[:row] = 0.0
+            live.reshape((2,) + block.shape)[...] = dual[:, :, :, t0 : t0 + tb]
+            p1.reshape(block.shape)[-1] = 0.0
+            p2.reshape(block.shape)[:, -1] = 0.0
         step = step_buf[: 2 * n]
         step.fill(0.0)
         g1, g2 = step[: n - row], step[n : 2 * n - col]  # p1's last row: no step
@@ -212,10 +243,14 @@ def prox_tv_nonneg(v, weight, inner_iters=20):
             live += step
             np.clip(live, -1.0, 1.0, out=live)
         div[:, :, t0 : t0 + tb] = u.reshape(block.shape)
+        if dual is not None:
+            dual[:, :, :, t0 : t0 + tb] = live.reshape((2,) + block.shape)
     x = np.maximum(vol - weight * div.astype(np.float64), 0.0)
     # "not <=" also replaces a slice whose float32 dual loop overflowed to NaN
     ok = _slice_objectives(x, vol, weight) <= _slice_objectives(clipped, vol, weight)
     x[:, :, ~ok] = clipped[:, :, ~ok]
+    if dual is not None:
+        dual[:, :, :, ~ok] = 0.0
     return x
 
 
@@ -242,9 +277,11 @@ def spiral_solve(y, g, b, config=None, init=None):
 
         Phi(x+) <= Phi(x) - 0.1 * (alpha/2) * ||x+ - x||^2,
 
-    which makes the objective trace non-increasing by construction. Stops on
-    relative change < rel_tol or after max_iters. Default initialization is
-    the backprojection g~ * max(Y - b, 0).
+    which makes the objective trace non-increasing by construction. Every
+    trial passes the same dual workspace to the prox, so each starts from
+    the latest trial's dual fields. Stops on relative change < rel_tol or
+    after max_iters. Default initialization is the backprojection
+    g~ * max(Y - b, 0).
 
     y may be a HistogramCube or a bare count array; with a cube, the output
     volume inherits its bin_width and t0.
@@ -267,6 +304,8 @@ def spiral_solve(y, g, b, config=None, init=None):
     lam = convolve3d(g, x, b)
     phi = _nll_of_lambda(lam, counts) + beta * tv_penalty(x)
     trace = [phi]
+    dual = np.zeros((2,) + counts.shape, dtype=np.float32)  # the prox's p1, p2
+    trial_steps = 0
     alpha_lo, alpha_hi = _STEP_BOUNDS
     last_alpha = _STEP_INIT
     prev_x = None
@@ -289,8 +328,10 @@ def spiral_solve(y, g, b, config=None, init=None):
 
         doublings = 0
         while True:
-            x_new = prox_tv_nonneg(x - grad / alpha, beta / alpha)
-            step_sq = _dot(x_new - x, x_new - x)
+            x_new = prox_tv_nonneg(x - grad / alpha, beta / alpha, dual=dual)
+            trial_steps += 1
+            step = x_new - x
+            step_sq = _dot(step, step)
             lam_new = convolve3d(g, x_new, b)
             phi_new = _nll_of_lambda(lam_new, counts) + beta * tv_penalty(x_new)
             if phi_new <= phi - _ACCEPT_SIGMA * (alpha / 2.0) * step_sq:
@@ -320,6 +361,7 @@ def spiral_solve(y, g, b, config=None, init=None):
         iterations=iterations,
         converged=converged,
         final_rel_change=float(rel_change),
+        trial_steps=trial_steps,
     )
     return volume, report
 

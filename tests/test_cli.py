@@ -131,6 +131,7 @@ def test_reconstruct_methods(cube_path, tmp_path, method):
         report = json.loads((out / "report.json").read_text())
         trace = report["objective_trace"]
         assert all(b <= a for a, b in zip(trace, trace[1:]))
+        assert report["trial_steps"] >= report["iterations"] == len(trace) - 1
     effective = json.loads((out / "reconstruct.json").read_text())
     assert effective["method"] == method
     lo, hi = effective["window"]

@@ -60,32 +60,57 @@ def _slice_objective(x, v, weight):
     return 0.5 * ((x - v) ** 2).sum(axis=(0, 1)) + weight * tv
 
 
+def _starting_dual(rng, shape, kind):
+    """A (2, H, W, T) float32 start for the prox's dual fields: None (the
+    cold start), uniform in the box [-1, 1], or that with NaN, +inf and
+    -inf entries, as a float32 loop that overflowed could leave."""
+    if kind == "cold":
+        return None
+    dual = rng.uniform(-1.0, 1.0, (2,) + shape).astype(np.float32)
+    if kind == "non-finite":
+        flat = dual.reshape(-1)
+        for value in (np.nan, np.inf, -np.inf):
+            flat[rng.integers(0, flat.size, 1 + flat.size // 8)] = value
+    return dual
+
+
 @given(
     hnp.array_shapes(min_dims=3, max_dims=3, max_side=8),
     seeds,
     st.floats(0.0, 10.0),
     st.floats(0.0, 5.0),
     st.integers(0, 30),
+    st.sampled_from(["cold", "warm", "non-finite"]),
 )
 def test_prox_nonnegative_and_never_worse_than_projection(shape, seed, scale,
-                                                         weight, inner_iters):
-    v = scale * np.random.default_rng(seed).standard_normal(shape)
+                                                         weight, inner_iters,
+                                                         start):
+    rng = np.random.default_rng(seed)
+    v = scale * rng.standard_normal(shape)
+    dual = _starting_dual(rng, shape, start)
     with np.errstate(over="ignore", invalid="ignore"):  # v / weight may overflow
-        x = prox_tv_nonneg(v, weight, inner_iters)
+        x = prox_tv_nonneg(v, weight, inner_iters, dual=dual)
     clipped = np.maximum(v, 0.0)
     assert x.shape == v.shape
     assert (x >= 0).all()
     bound = _slice_objective(clipped, v, weight)
     assert (_slice_objective(x, v, weight) <= bound + 1e-12 * np.abs(bound)).all()
+    if dual is not None:  # what the next call starts from
+        assert np.isfinite(dual).all()
+        assert (np.abs(dual) <= 1.0).all()
 
 
-def _reference_prox(v, weight, inner_iters):
+def _reference_prox(v, weight, inner_iters, start=None):
     """The TV prox as first written: the same float32 dual loop on 3D
-    fields, with 2D-sliced differences and explicit edge writes."""
+    fields, with 2D-sliced differences and explicit edge writes. It starts
+    from zero or from start = (p1, p2), whose entries the loop never reads
+    (p1's last row, p2's last column) set to zero, and returns the output
+    and the final (p1, p2), zero in every slice the safeguard replaced."""
     vol = np.asarray(v, dtype=np.float64)
     clipped = np.maximum(vol, 0.0)
     if weight == 0 or inner_iters == 0:
-        return clipped
+        zero = np.zeros(vol.shape, dtype=np.float32)
+        return clipped, zero, zero.copy()
 
     def div(p1, p2, out):
         if p1.shape[0] > 1:
@@ -102,6 +127,9 @@ def _reference_prox(v, weight, inner_iters):
 
     p1 = np.zeros(vol.shape, dtype=np.float32)
     p2 = np.zeros_like(p1)
+    if start is not None:
+        p1[:-1] = start[0][:-1]
+        p2[:, :-1] = start[1][:, :-1]
     u = np.empty_like(p1)
     g = np.empty_like(p1)
     vw = (vol / weight).astype(np.float32)
@@ -122,7 +150,9 @@ def _reference_prox(v, weight, inner_iters):
     x = np.maximum(vol - weight * u.astype(np.float64), 0.0)
     ok = _slice_objective(x, vol, weight) <= _slice_objective(clipped, vol, weight)
     x[:, :, ~ok] = clipped[:, :, ~ok]
-    return x
+    p1[:, :, ~ok] = 0.0
+    p2[:, :, ~ok] = 0.0
+    return x, p1, p2
 
 
 def _prox_input(rng, shape, kind):
@@ -136,14 +166,17 @@ def _prox_input(rng, shape, kind):
     return v
 
 
-def _assert_prox_matches_reference(v, weight, inner_iters):
+def _assert_prox_matches_reference(v, weight, inner_iters, dual=None):
     before = v.tobytes()
+    start = None if dual is None else dual.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # v / weight may overflow
-        expected = _reference_prox(v, weight, inner_iters)
-        x = prox_tv_nonneg(v, weight, inner_iters)
+        expected, p1, p2 = _reference_prox(v, weight, inner_iters, start)
+        x = prox_tv_nonneg(v, weight, inner_iters, dual=dual)
     assert v.tobytes() == before
     assert x.shape == expected.shape and x.dtype == expected.dtype
     assert x.tobytes() == expected.tobytes()
+    if dual is not None:
+        assert dual.tobytes() == np.stack([p1, p2]).tobytes()
 
 
 @given(
@@ -152,19 +185,22 @@ def _assert_prox_matches_reference(v, weight, inner_iters):
     st.sampled_from(["dense", "sparse", "non-positive", "signed zeros"]),
     st.one_of(st.floats(1e-3, 5.0), st.floats(1e-308, 1e-30)),
     st.integers(0, 25),
+    st.sampled_from(["cold", "warm"]),
     st.data(),
 )
 def test_prox_matches_the_sliced_reference_byte_for_byte(shape, seed, kind,
                                                          weight, inner_iters,
-                                                         data):
+                                                         start, data):
     # blocks of 1 .. T slices, so most shapes span several blocks and
     # many end on a partial one; the remainder checks the floor division
     h, w, t = shape
     slices = data.draw(st.integers(1, t), label="slices per block")
     block = slices * h * w + data.draw(st.integers(0, h * w - 1), label="extra")
-    v = _prox_input(np.random.default_rng(seed), shape, kind)
+    rng = np.random.default_rng(seed)
+    v = _prox_input(rng, shape, kind)
+    dual = _starting_dual(rng, shape, start)
     with mock.patch.object(solver, "_PROX_BLOCK_VOXELS", block):
-        _assert_prox_matches_reference(v, weight, inner_iters)
+        _assert_prox_matches_reference(v, weight, inner_iters, dual)
 
 
 def test_prox_matches_the_sliced_reference_on_the_chart_shape():
