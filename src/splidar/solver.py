@@ -168,9 +168,10 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
     and are set to zero on entry; the fields of every slice the safeguard
     replaces by max(v, 0) (every slice when the loop does not run) are set
     to zero on exit, so a slice whose float32 loop overflowed to NaN starts
-    the next call cold. dual=None starts from zero. The output depends only
-    on v, weight, inner_iters and the starting fields, so a rerun of the
-    same sequence of calls gives the same bytes.
+    the next call cold. dual=None starts from a zeroed workspace of its
+    own. The output depends only on v, weight, inner_iters and the
+    starting fields, so a rerun of the same sequence of calls gives the
+    same bytes.
 
     The dual loop runs in float32; it is the hot path of the solve, and the
     slice comparison (done in float64) absorbs the rounding. TV acts within
@@ -186,7 +187,9 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
     if weight < 0:
         raise ValueError("negative weight")
     vol = np.asarray(v, dtype=np.float64)
-    if dual is not None and not (
+    if dual is None:
+        dual = np.zeros((2,) + vol.shape, dtype=np.float32)
+    elif not (
         isinstance(dual, np.ndarray)
         and dual.dtype == np.float32
         and dual.shape == (2,) + vol.shape
@@ -194,8 +197,7 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
         raise ValueError(f"dual must be a float32 array of shape {(2,) + vol.shape}")
     clipped = np.maximum(vol, 0.0)
     if weight == 0 or inner_iters == 0:
-        if dual is not None:
-            dual.fill(0.0)
+        dual.fill(0.0)
         return clipped
     height, width, slices = vol.shape
     tb = max(1, min(slices, _PROX_BLOCK_VOXELS // max(1, height * width)))
@@ -214,13 +216,10 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
         p1, p1_prev = fields[row : row + n], fields[:n]
         p2, p2_prev = fields[row + n :], fields[row + n - col : row + 2 * n - col]
         live = fields[row:]
-        if dual is None:
-            fields.fill(0.0)
-        else:
-            fields[:row] = 0.0
-            live.reshape((2,) + block.shape)[...] = dual[:, :, :, t0 : t0 + tb]
-            p1.reshape(block.shape)[-1] = 0.0
-            p2.reshape(block.shape)[:, -1] = 0.0
+        fields[:row] = 0.0
+        live.reshape((2,) + block.shape)[...] = dual[:, :, :, t0 : t0 + tb]
+        p1.reshape(block.shape)[-1] = 0.0
+        p2.reshape(block.shape)[:, -1] = 0.0
         step = step_buf[: 2 * n]
         step.fill(0.0)
         g1, g2 = step[: n - row], step[n : 2 * n - col]  # p1's last row: no step
@@ -243,14 +242,12 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
             live += step
             np.clip(live, -1.0, 1.0, out=live)
         div[:, :, t0 : t0 + tb] = u.reshape(block.shape)
-        if dual is not None:
-            dual[:, :, :, t0 : t0 + tb] = live.reshape((2,) + block.shape)
+        dual[:, :, :, t0 : t0 + tb] = live.reshape((2,) + block.shape)
     x = np.maximum(vol - weight * div.astype(np.float64), 0.0)
     # "not <=" also replaces a slice whose float32 dual loop overflowed to NaN
     ok = _slice_objectives(x, vol, weight) <= _slice_objectives(clipped, vol, weight)
     x[:, :, ~ok] = clipped[:, :, ~ok]
-    if dual is not None:
-        dual[:, :, :, ~ok] = 0.0
+    dual[:, :, :, ~ok] = 0.0
     return x
 
 

@@ -326,7 +326,6 @@ def test_warm_started_prox_keeps_backtracking_rare(natural_scene):
     cube = simulate(tile, cfg, ppp=1.0, sbr=0.2, seed=0)
     _, rep, _, _ = reconstruct_cell(cube, "deconv3d",
                                     SolverConfig(beta=0.1, rel_tol=1e-3))
-    assert rep.converged
     assert rep.iterations <= rep.trial_steps < 2.5 * rep.iterations
     assert rep.to_dict()["trial_steps"] == rep.trial_steps
 
