@@ -5,7 +5,8 @@ The reconstruction solves
     minimize  L(x) + beta * TV(x)   subject to  x >= 0,
 
 where L(x) = sum(Lambda - Y * log(Lambda)), Lambda = g * x + b, by a monotone
-proximal gradient loop: Barzilai-Borwein inverse-step initialization, then
+proximal gradient loop: an inverse step proposed by the two Barzilai-Borwein
+ratios in turn (the alternating rule of Dai and Fletcher, 2005), then
 backtracking until a sufficient-decrease test holds. TV is anisotropic and
 acts within time slices; its prox is approximated by a fixed number of dual
 fixed-point iterations. Within one solve the dual fields carry over from
@@ -63,6 +64,7 @@ class SolveReport:
     converged: bool
     final_rel_change: float
     trial_steps: int  # prox calls, accepted and rejected
+    backtracks: list  # rejected trials before each accepted iteration
 
     def to_dict(self):
         return {
@@ -71,6 +73,7 @@ class SolveReport:
             "converged": bool(self.converged),
             "final_rel_change": float(self.final_rel_change),
             "trial_steps": int(self.trial_steps),
+            "backtracks": [int(n) for n in self.backtracks],
         }
 
 
@@ -217,7 +220,8 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
         p2, p2_prev = fields[row + n :], fields[row + n - col : row + 2 * n - col]
         live = fields[row:]
         fields[:row] = 0.0
-        live.reshape((2,) + block.shape)[...] = dual[:, :, :, t0 : t0 + tb]
+        live_4d = live.reshape((2,) + block.shape)
+        _copy_slices(live_4d, dual[:, :, :, t0 : t0 + tb])
         p1.reshape(block.shape)[-1] = 0.0
         p2.reshape(block.shape)[:, -1] = 0.0
         step = step_buf[: 2 * n]
@@ -242,13 +246,26 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
             live += step
             np.clip(live, -1.0, 1.0, out=live)
         div[:, :, t0 : t0 + tb] = u.reshape(block.shape)
-        dual[:, :, :, t0 : t0 + tb] = live.reshape((2,) + block.shape)
+        _copy_slices(dual[:, :, :, t0 : t0 + tb], live_4d)
     x = np.maximum(vol - weight * div.astype(np.float64), 0.0)
     # "not <=" also replaces a slice whose float32 dual loop overflowed to NaN
     ok = _slice_objectives(x, vol, weight) <= _slice_objectives(clipped, vol, weight)
     x[:, :, ~ok] = clipped[:, :, ~ok]
     dual[:, :, :, ~ok] = 0.0
     return x
+
+
+def _copy_slices(dst, src):
+    """dst[...] = src for (2, H, W, tb) fields. Between a block and a
+    workspace of more slices the runs along the time axis are short, so
+    one time slice at a time, whose copy numpy runs as longer strided
+    loops, is faster; a block that is the whole volume is contiguous on
+    both sides and goes in one copy."""
+    if dst.flags.c_contiguous and src.flags.c_contiguous:
+        dst[...] = src
+    else:
+        for k in range(dst.shape[-1]):
+            dst[..., k] = src[..., k]
 
 
 def _slice_objectives(x, vol, weight):
@@ -268,9 +285,14 @@ def spiral_solve(y, g, b, config=None, init=None):
 
     Each iteration takes a gradient step scaled by an inverse step alpha and
     applies the TV prox:  x+ = prox(x - grad/alpha, beta/alpha). alpha starts
-    at the Barzilai-Borwein curvature ratio <dx, dgrad> / <dx, dx> (clamped
-    to [1e-8, 1e8]; falls back to the previous accepted alpha, initially 1,
-    when the ratio is not positive) and doubles until
+    at a Barzilai-Borwein curvature ratio, alternating between the two: BB1,
+    <dx, dgrad> / <dx, dx>, after an odd number of accepted iterations and
+    BB2, <dgrad, dgrad> / <dx, dgrad>, after an even one. BB2 is never the
+    smaller of the two (Cauchy-Schwarz), so it proposes the shorter step;
+    BB1 alone kept proposing steps far too long, which cost several
+    rejected trials per iteration. The proposal is clamped to [1e-8, 1e8] and falls
+    back to the previous accepted alpha, initially 1, when the ratio is not
+    positive; alpha then doubles until
 
         Phi(x+) <= Phi(x) - 0.1 * (alpha/2) * ||x+ - x||^2,
 
@@ -303,6 +325,7 @@ def spiral_solve(y, g, b, config=None, init=None):
     trace = [phi]
     dual = np.zeros((2,) + counts.shape, dtype=np.float32)  # the prox's p1, p2
     trial_steps = 0
+    backtracks = []
     alpha_lo, alpha_hi = _STEP_BOUNDS
     last_alpha = _STEP_INIT
     prev_x = None
@@ -318,8 +341,11 @@ def spiral_solve(y, g, b, config=None, init=None):
         else:
             dx = x - prev_x
             dg = grad - prev_grad
-            denom = _dot(dx, dx)
-            numer = _dot(dx, dg)
+            curv = _dot(dx, dg)
+            if iterations % 2:  # BB1, <dx, dg> / <dx, dx>
+                numer, denom = curv, _dot(dx, dx)
+            else:  # BB2, <dg, dg> / <dx, dg>
+                numer, denom = _dot(dg, dg), curv
             alpha = numer / denom if denom > 0 and numer > 0 else last_alpha
         alpha = float(np.clip(alpha, alpha_lo, alpha_hi))
 
@@ -347,6 +373,7 @@ def spiral_solve(y, g, b, config=None, init=None):
         x, lam, phi = x_new, lam_new, phi_new
         last_alpha = alpha
         trace.append(phi)
+        backtracks.append(doublings)
         iterations += 1
         if rel_change < config.rel_tol:
             converged = True
@@ -359,6 +386,7 @@ def spiral_solve(y, g, b, config=None, init=None):
         converged=converged,
         final_rel_change=float(rel_change),
         trial_steps=trial_steps,
+        backtracks=backtracks,
     )
     return volume, report
 
