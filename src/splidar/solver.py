@@ -289,8 +289,8 @@ def spiral_solve(y, g, b, config=None, init=None):
     <dx, dgrad> / <dx, dx>, after an odd number of accepted iterations and
     BB2, <dgrad, dgrad> / <dx, dgrad>, after an even one. BB2 is never the
     smaller of the two (Cauchy-Schwarz), so it proposes the shorter step;
-    BB1 alone kept proposing steps far too long, which cost several
-    rejected trials per iteration. The proposal is clamped to [1e-8, 1e8] and falls
+    BB1 alone overshoots on these problems and costs several rejected
+    trials per iteration. The proposal is clamped to [1e-8, 1e8] and falls
     back to the previous accepted alpha, initially 1, when the ratio is not
     positive; alpha then doubles until
 

@@ -132,6 +132,8 @@ def test_reconstruct_methods(cube_path, tmp_path, method):
         trace = report["objective_trace"]
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert report["trial_steps"] >= report["iterations"] == len(trace) - 1
+        assert len(report["backtracks"]) == report["iterations"]
+        assert sum(report["backtracks"]) == report["trial_steps"] - report["iterations"]
     effective = json.loads((out / "reconstruct.json").read_text())
     assert effective["method"] == method
     lo, hi = effective["window"]
