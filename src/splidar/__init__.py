@@ -14,7 +14,6 @@ from .forward import (
     Kernel,
     ScanConfig,
     calibrate_flux,
-    coarsen,
     convolve3d,
     convolve3d_adjoint,
     load_cube,
@@ -62,7 +61,6 @@ __all__ = [
     "bar_contrast",
     "calibrate_flux",
     "chart_layout",
-    "coarsen",
     "convolve3d",
     "convolve3d_adjoint",
     "extract_depth_reflectivity",

@@ -3,8 +3,9 @@
 Both reference methods treat every scan position independently: the Poisson
 maximum-likelihood depth estimate for a known pulse shape (equivalently, the
 log-matched filter: cross-correlate the histogram with the log of the
-temporal response) and the conventional-scan variant that runs the same
-estimator on a coarsened cube and upsamples the result.
+temporal response) and the conventional raster, which runs the same
+estimator on every factor-th scan position of a bare count array and
+upsamples the result.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .forward import coarsen, make_kernel
 from .solver import Maps, _count_parts, _peak_maps, _window_sums
 
 _LOG_FLOOR = 1e-12  # keeps log finite when the background is zero
@@ -33,6 +33,9 @@ def pixelwise_ml(y, g_t, b, window_half=None):
     g = np.asarray(g_t, dtype=np.float64)
     if g.ndim != 1 or g.size % 2 == 0:
         raise ValueError(f"temporal kernel must be odd-length 1D, got {g.shape}")
+    if not (np.isfinite(g).all() and (g >= 0).all() and g.max() > 0):
+        raise ValueError("temporal kernel must be finite and non-negative, "
+                         "with a positive entry")
     if g.size > counts.shape[2]:
         raise ValueError("temporal kernel longer than the histogram")
     if window_half is None:
@@ -48,15 +51,22 @@ def pixelwise_ml(y, g_t, b, window_half=None):
     return _peak_maps(k_star, refl, counts.sum(axis=2) > 0, t0, bin_width)
 
 
-def reconstruct_no_scan(cube, factor, window_half=None):
-    """Conventional-scan reference: per-pixel estimates on the cube coarsened
-    by factor, nearest-neighbor upsampled so maps compare like for like with
-    the sub-pixel methods. Kernel and background come from the cube metadata.
+def reconstruct_no_scan(counts, g_t, b, factor, window_half=None):
+    """Conventional-raster reference: pixelwise_ml on every factor-th scan
+    position along both axes of a bare (H, W, T) count array, at offset
+    (0, 0), nearest-neighbor upsampled so maps compare like for like with
+    the sub-pixel methods. g_t, b and window_half are pixelwise_ml's.
     """
-    coarse = coarsen(cube, factor)
+    if int(factor) != factor or factor < 1:
+        raise ValueError(f"factor must be an integer >= 1, got {factor}")
     factor = int(factor)
-    g_t = make_kernel(coarse.config).temporal
-    maps = pixelwise_ml(coarse, g_t, coarse.background_per_bin, window_half=window_half)
+    counts = np.asarray(counts)
+    if counts.ndim != 3:
+        raise ValueError(f"expected 3D counts, got {counts.shape}")
+    h, w, _ = counts.shape
+    if h % factor or w % factor:
+        raise ValueError(f"factor {factor} does not divide {h}x{w}")
+    maps = pixelwise_ml(counts[::factor, ::factor], g_t, b, window_half=window_half)
     return _nn_upsample_maps(maps, factor)
 
 

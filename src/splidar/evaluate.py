@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .baselines import _nn_upsample_maps, pixelwise_ml
-from .forward import ScanConfig, coarsen, make_kernel, save_cube, simulate
+from .baselines import pixelwise_ml, reconstruct_no_scan
+from .forward import ScanConfig, make_kernel, save_cube, simulate
 from .scene import (
     SPEED_OF_LIGHT,
     RDVolume,
@@ -215,11 +215,12 @@ def _at_full_depth(maps, lo, config):
 
 def reconstruct_cell(cube, method, solver):
     """One reconstruction of the bins that can hold signal, reading
-    reflectivity over the temporal kernel half-width; noscan coarsens by one
-    footprint, 2n. Every method sees the same gated bins (_signal_window)
-    and writes maps at the full depth scale; the volume keeps the gated
-    bins, its t0 the time of the first. Returns (Maps, SolveReport or None,
-    RDVolume or None, settings), settings being the values used."""
+    reflectivity over the temporal kernel half-width; noscan steps one
+    detector footprint, 2n scan positions. Every method sees the same gated
+    bins (_signal_window) and writes maps at the full depth scale; the
+    volume keeps the gated bins, its t0 the time of the first. Returns
+    (Maps, SolveReport or None, RDVolume or None, settings), settings being
+    the values used."""
     config, b = cube.config, cube.background_per_bin
     kernel = make_kernel(config)
     window_half = kernel.temporal.size // 2
@@ -230,11 +231,9 @@ def reconstruct_cell(cube, method, solver):
     if method == "ml":
         maps = pixelwise_ml(counts, kernel.temporal, b, window_half=window_half)
     elif method == "noscan":
-        factor = 2 * config.n
-        settings["factor"] = factor
-        coarse = coarsen(cube, factor).counts[:, :, lo:hi]
-        maps = _nn_upsample_maps(
-            pixelwise_ml(coarse, kernel.temporal, b, window_half=window_half), factor
+        settings["factor"] = 2 * config.n
+        maps = reconstruct_no_scan(
+            counts, kernel.temporal, b, settings["factor"], window_half=window_half
         )
     elif method == "deconv3d":
         settings["solver"] = solver.to_dict()

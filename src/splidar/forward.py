@@ -11,7 +11,7 @@ The temporal response g_t models total system jitter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -292,18 +292,6 @@ def simulate(scene, config, ppp, sbr, seed):
         rng_seed=int(seed),
         alpha=float(alpha),
     )
-
-
-def coarsen(cube, factor):
-    """Keep every factor-th scan position, simulating a conventional
-    footprint-by-footprint raster (offset (0, 0))."""
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"factor must be an integer >= 1, got {factor}")
-    factor = int(factor)
-    h, w, _ = cube.shape
-    if h % factor or w % factor:
-        raise ValueError(f"factor {factor} does not divide {h}x{w}")
-    return replace(cube, counts=cube.counts[::factor, ::factor, :].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,6 @@ class RDVolume:
     def shape(self):
         return self.data.shape
 
-    @property
-    def n_bins(self):
-        return self.data.shape[2]
-
 
 def _as_volume(rd):
     """The float64 array of an RDVolume or of a bare array."""

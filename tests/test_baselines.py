@@ -107,6 +107,10 @@ def test_ml_input_validation():
         pixelwise_ml(counts, np.ones(11) / 11, 0.0)  # longer than histogram
     with pytest.raises(ValueError):
         pixelwise_ml(counts, gauss_template(), 0.0, window_half=-1)
+    nan, inf = float("nan"), float("inf")
+    for g in ([nan, 1, nan], [inf, 1, inf], [-0.5, 2, -0.5], [0, 0, 0]):
+        with pytest.raises(ValueError, match="temporal kernel"):
+            pixelwise_ml(counts, np.array(g), 0.0)
 
 
 def test_no_scan_factor_one_is_pixelwise():
@@ -116,12 +120,17 @@ def test_no_scan_factor_one_is_pixelwise():
     cfg = ScanConfig(n=1, jitter_fwhm=1e-9, bin_width=1.6e-9, n_bins=32,
                      sbr_window=48e-9)
     cube = simulate(scene, cfg, ppp=20.0, sbr=2.0, seed=5)
-    direct = pixelwise_ml(
-        cube, make_kernel(cfg).temporal, cube.background_per_bin
-    )
-    via = reconstruct_no_scan(cube, 1)
-    np.testing.assert_array_equal(direct.depth, via.depth)
-    np.testing.assert_array_equal(direct.reflectivity, via.reflectivity)
+    g_t, b = make_kernel(cfg).temporal, cube.background_per_bin
+    direct = pixelwise_ml(cube.counts, g_t, b)
+    via = reconstruct_no_scan(cube.counts, g_t, b, 1)
+    for field in ("depth", "reflectivity", "valid"):
+        assert getattr(via, field).tobytes() == getattr(direct, field).tobytes()
+    # factor 2 reads the scan positions at offset (0, 0) of every 2x2 block
+    coarse = pixelwise_ml(cube.counts[::2, ::2], g_t, b)
+    via = reconstruct_no_scan(cube.counts, g_t, b, 2)
+    for field in ("depth", "reflectivity", "valid"):
+        expected = np.repeat(np.repeat(getattr(coarse, field), 2, axis=0), 2, axis=1)
+        assert getattr(via, field).tobytes() == expected.tobytes()
 
 
 def test_no_scan_output_is_blocky():
@@ -133,7 +142,9 @@ def test_no_scan_output_is_blocky():
                      sbr_window=48e-9)
     cube = simulate(scene, cfg, ppp=50.0, sbr=5.0, seed=6)
     factor = 2 * cfg.n
-    maps = reconstruct_no_scan(cube, factor)
+    maps = reconstruct_no_scan(
+        cube.counts, make_kernel(cfg).temporal, cube.background_per_bin, factor
+    )
     assert maps.depth.shape == (8, 8)
     # every 4x4 block is constant by construction
     for bi in range(2):
@@ -151,7 +162,9 @@ def test_no_scan_rejects_bad_factor():
     cfg = ScanConfig(n=1, jitter_fwhm=1e-9, bin_width=1.6e-9, n_bins=16,
                      sbr_window=25e-9)
     cube = simulate(scene, cfg, ppp=5.0, sbr=1.0, seed=7)
-    with pytest.raises(ValueError):
-        reconstruct_no_scan(cube, 1.5)
-    with pytest.raises(ValueError):
-        reconstruct_no_scan(cube, 0)
+    g_t, b = make_kernel(cfg).temporal, cube.background_per_bin
+    for factor in (1.5, 0, 3):  # 3 does not divide 4x4
+        with pytest.raises(ValueError, match="factor"):
+            reconstruct_no_scan(cube.counts, g_t, b, factor)
+    with pytest.raises(ValueError, match="3D"):
+        reconstruct_no_scan(cube.counts[:, :, 0], g_t, b, 2)

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splidar.baselines import pixelwise_ml, reconstruct_no_scan
+from splidar.baselines import pixelwise_ml
 from splidar.evaluate import (
     KNOWN_METHODS,
     RESOLVED_THRESHOLD,
     RESULTS_COLUMNS,
     ExperimentSpec,
+    _at_full_depth,
     _signal_window,
     bar_contrast,
     reconstruct_cell,
@@ -29,7 +30,7 @@ from splidar.scene import (
     make_resolution_chart,
     save_scene,
 )
-from splidar.solver import SolverConfig, extract_depth_reflectivity, spiral_solve
+from splidar.solver import Maps, SolverConfig, extract_depth_reflectivity, spiral_solve
 
 from conftest import EXPERIMENT_SCAN
 
@@ -132,11 +133,15 @@ def test_gate_spanning_every_bin_keeps_todays_bytes():
     b = cube.background_per_bin
     assert _signal_window(cube.counts, b, r) == (0, 16)
     solver = SolverConfig(beta=0.05, max_iters=4)
-    # reconstruct_cell's methods as they were before the gate
+    # reconstruct_cell's methods as they were before the gate; noscan read
+    # every 2nd scan position as a cube, at the cube's t0 and bin width
     volume, report = spiral_solve(cube, kernel, b, solver)
+    coarse = HistogramCube(counts=cube.counts[::2, ::2].copy(), config=cfg,
+                           background_per_bin=b, rng_seed=cube.rng_seed)
+    noscan = pixelwise_ml(coarse, kernel.temporal, b, window_half=r)
     ungated = {
         "ml": (pixelwise_ml(cube, kernel.temporal, b, window_half=r), None, None),
-        "noscan": (reconstruct_no_scan(cube, 2, window_half=r), None, None),
+        "noscan": (_repeat_maps(noscan, 2), None, None),
         "deconv3d": (extract_depth_reflectivity(volume, window_half=r), report, volume),
     }
     for method, (maps, report, volume) in ungated.items():
@@ -148,6 +153,31 @@ def test_gate_spanning_every_bin_keeps_todays_bytes():
             assert got_report.to_dict() == report.to_dict()
             assert got_volume.data.tobytes() == volume.data.tobytes()
             assert (got_volume.bin_width, got_volume.t0) == (volume.bin_width, volume.t0)
+
+
+def _repeat_maps(maps, factor):
+    """Each map pixel as a factor x factor block."""
+    def up(arr):
+        return np.repeat(np.repeat(arr, factor, axis=0), factor, axis=1)
+
+    return Maps(depth=up(maps.depth), reflectivity=up(maps.reflectivity),
+                valid=up(maps.valid))
+
+
+def test_gated_noscan_keeps_the_bytes_of_the_coarsened_gated_cube():
+    # the experiment chart's seed-0 cube, whose window cuts bins at both ends
+    chart = make_resolution_chart(d_fg=3.0, d_bg=5.4, r_bg=0.0)
+    cube = simulate(chart, EXPERIMENT_SCAN, 10.0, 0.2, seed=0)
+    kernel = make_kernel(EXPERIMENT_SCAN)
+    r = kernel.temporal.size // 2
+    got, _, _, settings = reconstruct_cell(cube, "noscan", SolverConfig())
+    lo, hi = settings["window"]
+    assert (lo, hi) == (10, 17) and settings["factor"] == 8
+    coarse = pixelwise_ml(cube.counts[::8, ::8, lo:hi], kernel.temporal,
+                          cube.background_per_bin, window_half=r)
+    expected = _at_full_depth(_repeat_maps(coarse, 8), lo, EXPERIMENT_SCAN)
+    for field in ("depth", "reflectivity", "valid"):
+        assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
 
 
 def test_gate_keeps_both_surfaces_of_the_chart():

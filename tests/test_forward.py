@@ -13,7 +13,6 @@ from splidar.forward import (
     Kernel,
     ScanConfig,
     calibrate_flux,
-    coarsen,
     convolve3d,
     convolve3d_adjoint,
     load_cube,
@@ -352,18 +351,6 @@ def test_simulate_poisson_moments():
     total_mean = cubes.sum(axis=(1, 2, 3)).mean() / 36  # per pixel
     expected = 5.0 + cubes.shape[3] * 5.0 / (1.0 * sbr_window_bins(cfg))
     assert abs(total_mean - expected) < 0.5
-
-
-def test_coarsen_definition_and_metadata():
-    scene, cfg = small_scene(8, 8), small_config(n=2)
-    cube = simulate(scene, cfg, 5.0, 0.5, seed=1)
-    coarse = coarsen(cube, 4)
-    assert coarse.shape == (2, 2, cfg.n_bins)
-    np.testing.assert_array_equal(coarse.counts, cube.counts[::4, ::4, :])
-    assert coarse.config == cube.config
-    np.testing.assert_array_equal(coarsen(cube, 1).counts, cube.counts)
-    with pytest.raises(ValueError):
-        coarsen(cube, 3)
 
 
 def test_histogram_cube_validation():
