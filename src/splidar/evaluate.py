@@ -215,12 +215,11 @@ def _at_full_depth(maps, lo, config):
 
 def reconstruct_cell(cube, method, solver):
     """One reconstruction of the bins that can hold signal, reading
-    reflectivity over the temporal kernel half-width; noscan steps one
-    detector footprint, 2n scan positions. Every method sees the same gated
-    bins (_signal_window) and writes maps at the full depth scale; the
-    volume keeps the gated bins, its t0 the time of the first. Returns
-    (Maps, SolveReport or None, RDVolume or None, settings), settings being
-    the values used."""
+    reflectivity over the temporal kernel half-width; noscan steps by one
+    footprint, 2n. Every method sees the same gated bins (_signal_window)
+    and writes maps at the full depth scale; the volume keeps the gated
+    bins, its t0 the time of the first. Returns (Maps, SolveReport or None,
+    RDVolume or None, settings), settings being the values used."""
     config, b = cube.config, cube.background_per_bin
     kernel = make_kernel(config)
     window_half = kernel.temporal.size // 2
