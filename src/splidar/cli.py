@@ -137,8 +137,12 @@ def _cmd_simulate(args):
 
 
 def _cmd_reconstruct(args):
+    given = _given(args, "beta", "max_iters", "rel_tol")
+    if given and args.method != "deconv3d":
+        flags = ", ".join("--" + k.replace("_", "-") for k in given)
+        raise _UsageError(f"{flags} apply to --method deconv3d only")
     try:
-        solver = SolverConfig(**_given(args, "beta", "max_iters", "rel_tol"))
+        solver = SolverConfig(**given)
     except ValueError as exc:
         raise _UsageError(f"invalid solver settings: {exc}")
     cube = load_cube(args.cube)

@@ -111,13 +111,18 @@ class ExperimentSpec:
             raise ValueError(f"unknown scene kind: {self.scene_kind}")
         if self.scene_kind == "dir" and not self.scene_path:
             raise ValueError("scene kind 'dir' needs scene_path")
+        if self.scene_kind == "dir" and self.chart_args:
+            keys = ", ".join(sorted(self.chart_args))
+            raise ValueError(f"scene kind 'dir' takes no chart keys: {keys}")
+        if self.scene_kind == "chart" and self.scene_path is not None:
+            raise ValueError("scene kind 'chart' takes no path")
         object.__setattr__(self, "ppp", tuple(float(p) for p in self.ppp))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "methods", tuple(self.methods))
-        if not self.ppp or any(p <= 0 for p in self.ppp):
-            raise ValueError("ppp values must be positive")
-        if self.sbr <= 0:
-            raise ValueError("sbr must be positive")
+        if not self.ppp or any(not 0 < p < math.inf for p in self.ppp):
+            raise ValueError("ppp values must be positive and finite")
+        if not 0 < self.sbr < math.inf:
+            raise ValueError("sbr must be positive and finite")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be non-empty and distinct")
         if not self.methods:

@@ -227,8 +227,8 @@ def calibrate_flux(signal_flux, ppp, sbr, config):
     target when background is counted over a w-bin window,
     w = round(sbr_window / bin_width).
     """
-    if ppp <= 0 or sbr <= 0:
-        raise ValueError("ppp and sbr must be positive")
+    if not (0 < ppp < math.inf and 0 < sbr < math.inf):
+        raise ValueError("ppp and sbr must be positive and finite")
     flux = np.asarray(signal_flux, dtype=np.float64)
     mean_per_pixel = flux.sum() / (flux.shape[0] * flux.shape[1])
     if mean_per_pixel <= 0:

@@ -9,10 +9,11 @@ proximal gradient loop: an inverse step proposed by the two Barzilai-Borwein
 ratios in turn (the alternating rule of Dai and Fletcher, 2005), then
 backtracking until a sufficient-decrease test holds. TV is anisotropic and
 acts within time slices; its prox is approximated by a fixed number of dual
-fixed-point iterations. Within one solve the dual fields carry over from
-each trial step, accepted or rejected, to the next, so a prox call starts
-where the previous one stopped; they start from zero in every solve, so
-reruns stay byte-identical.
+fixed-point iterations, run in place in one flat float32 workspace that
+holds both dual fields. A solve allocates that workspace once, so the dual
+fields carry over from each trial step, accepted or rejected, to the next
+and a prox call starts where the previous one stopped; they start from
+zero in every solve, so reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .forward import HistogramCube, convolve3d, convolve3d_adjoint
 from .scene import SPEED_OF_LIGHT, RDVolume, _as_volume
 
 _PROX_TAU = 0.249  # dual ascent step, < 1/4 keeps the 2D fixed point stable
-_PROX_BLOCK_VOXELS = 1 << 16  # voxels per block of time slices in the dual loop
 _STEP_INIT = 1.0  # inverse step of the first iteration
 _STEP_BOUNDS = (1e-8, 1e8)  # every proposed inverse step is clamped here
 _BACKTRACK_ETA = 2.0  # inverse-step growth per rejected trial
@@ -163,12 +163,14 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
     two guarantees unconditional: the output is non-negative, and its
     objective never exceeds the one at max(v, 0).
 
-    dual, if given, is a float32 array of shape (2, H, W, T) holding the
-    dual fields p1 and p2. The loop starts from it instead of zero and
-    leaves its final fields there, so a caller that passes one workspace to
-    successive calls (spiral_solve's trial steps) warm-starts each from the
-    last. p1's last row and p2's last column are the zero-gradient boundary
-    and are set to zero on entry; the fields of every slice the safeguard
+    dual, if given, is a C-contiguous float32 array of shape (2H+1, W, T)
+    for a (H, W, T) volume: dual[0] is a zero row, dual[1:H+1] the dual
+    field p1 and dual[H+1:] the dual field p2. The loop runs in it in
+    place, starting from its fields instead of zero and leaving its final
+    fields there, so a caller that passes one workspace to successive calls
+    (spiral_solve's trial steps) warm-starts each from the last. The zero
+    row, p1's last row and p2's last column (the zero-gradient boundary)
+    are set to zero on entry; the fields of every slice the safeguard
     replaces by max(v, 0) (every slice when the loop does not run) are set
     to zero on exit, so a slice whose float32 loop overflowed to NaN starts
     the next call cold. dual=None starts from a zeroed workspace of its
@@ -177,95 +179,65 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
     same bytes.
 
     The dual loop runs in float32; it is the hot path of the solve, and the
-    slice comparison (done in float64) absorbs the rounding. TV acts within
-    each time slice, so the loop runs on one block of whole slices at a
-    time: a contiguous (H, W, tb) copy small enough that its dual state
-    stays in cache for all the inner iterations. Per block, one flat
-    buffer holds a zero row, then p1, then p2, so each field shifted back
-    by one row (p1, stride W*tb) or one column (p2, stride tb) is a
-    contiguous slice too, and every step of the loop is one contiguous
-    pass. p1's last row and p2's last column stay zero, the zero-gradient
-    boundary; p1's last row is also p2's leading padding.
+    slice comparison (done in float64) absorbs the rounding. Flattened, the
+    workspace is one buffer, so each field shifted back by one row (p1,
+    stride W*T) or one column (p2, stride T) is a contiguous slice of it
+    too, and every step of the loop is one contiguous pass. p1's last row
+    is also p2's leading padding.
     """
     if weight < 0:
         raise ValueError("negative weight")
     vol = np.asarray(v, dtype=np.float64)
+    height, width, slices = vol.shape
+    shape = (2 * height + 1, width, slices)
     if dual is None:
-        dual = np.zeros((2,) + vol.shape, dtype=np.float32)
+        dual = np.zeros(shape, dtype=np.float32)
     elif not (
         isinstance(dual, np.ndarray)
         and dual.dtype == np.float32
-        and dual.shape == (2,) + vol.shape
+        and dual.shape == shape
+        and dual.flags.c_contiguous  # else reshape(-1) would copy
     ):
-        raise ValueError(f"dual must be a float32 array of shape {(2,) + vol.shape}")
+        raise ValueError(f"dual must be a C-contiguous float32 array of shape {shape}")
     clipped = np.maximum(vol, 0.0)
     if weight == 0 or inner_iters == 0:
         dual.fill(0.0)
         return clipped
-    height, width, slices = vol.shape
-    tb = max(1, min(slices, _PROX_BLOCK_VOXELS // max(1, height * width)))
-    cap = height * width * tb
-    fields_buf = np.empty(width * tb + 2 * cap, dtype=np.float32)
-    step_buf = np.empty(2 * cap, dtype=np.float32)
-    vw_buf = np.empty(cap, dtype=np.float32)
-    u_buf = np.empty(cap, dtype=np.float32)
-    div = np.empty(vol.shape, dtype=np.float32)
-    for t0 in range(0, slices, tb):
-        block = vol[:, :, t0 : t0 + tb]
-        n = block.size
-        row = block.shape[1] * block.shape[2]  # flat stride of the row axis
-        col = block.shape[2]  # flat stride of the column axis
-        fields = fields_buf[: row + 2 * n]
-        p1, p1_prev = fields[row : row + n], fields[:n]
-        p2, p2_prev = fields[row + n :], fields[row + n - col : row + 2 * n - col]
-        live = fields[row:]
-        fields[:row] = 0.0
-        live_4d = live.reshape((2,) + block.shape)
-        _copy_slices(live_4d, dual[:, :, :, t0 : t0 + tb])
-        p1.reshape(block.shape)[-1] = 0.0
-        p2.reshape(block.shape)[:, -1] = 0.0
-        step = step_buf[: 2 * n]
-        step.fill(0.0)
-        g1, g2 = step[: n - row], step[n : 2 * n - col]  # p1's last row: no step
-        g2_wrap = step[n:].reshape(block.shape)[:, -1]  # differences across a row end
-        u = u_buf[:n]
-        vw = vw_buf[:n]
-        # the float64 quotient, rounded to float32 as astype would
-        np.divide(block, weight, out=vw.reshape(block.shape))
-        for it in range(inner_iters + 1):
-            np.subtract(p1, p1_prev, out=u)  # u = div p, the adjoint of -grad
-            u += p2
-            u -= p2_prev
-            if it == inner_iters:
-                break
-            u -= vw
-            np.subtract(u[row:], u[: n - row], out=g1)
-            np.subtract(u[col:], u[: n - col], out=g2)
-            g2_wrap[...] = 0.0
-            step *= _PROX_TAU
-            live += step
-            np.clip(live, -1.0, 1.0, out=live)
-        div[:, :, t0 : t0 + tb] = u.reshape(block.shape)
-        _copy_slices(dual[:, :, :, t0 : t0 + tb], live_4d)
-    x = np.maximum(vol - weight * div.astype(np.float64), 0.0)
+    n = vol.size
+    row, col = width * slices, slices  # flat strides of the row and column axes
+    fields = dual.reshape(-1)
+    p1, p1_prev = fields[row : row + n], fields[:n]
+    p2, p2_prev = fields[row + n :], fields[row + n - col : row + 2 * n - col]
+    live = fields[row:]
+    dual[0] = 0.0
+    dual[height] = 0.0
+    dual[height + 1 :, -1] = 0.0
+    step = np.zeros(2 * n, dtype=np.float32)
+    g1, g2 = step[: n - row], step[n : 2 * n - col]  # p1's last row: no step
+    g2_wrap = step[n:].reshape(vol.shape)[:, -1]  # differences across a row end
+    u = np.empty(n, dtype=np.float32)
+    vw = np.empty(n, dtype=np.float32)
+    # the float64 quotient, rounded to float32 as astype would
+    np.divide(vol, weight, out=vw.reshape(vol.shape))
+    for it in range(inner_iters + 1):
+        np.subtract(p1, p1_prev, out=u)  # u = div p, the adjoint of -grad
+        u += p2
+        u -= p2_prev
+        if it == inner_iters:
+            break
+        u -= vw
+        np.subtract(u[row:], u[: n - row], out=g1)
+        np.subtract(u[col:], u[: n - col], out=g2)
+        g2_wrap[...] = 0.0
+        step *= _PROX_TAU
+        live += step
+        np.clip(live, -1.0, 1.0, out=live)
+    x = np.maximum(vol - weight * u.reshape(vol.shape).astype(np.float64), 0.0)
     # "not <=" also replaces a slice whose float32 dual loop overflowed to NaN
     ok = _slice_objectives(x, vol, weight) <= _slice_objectives(clipped, vol, weight)
     x[:, :, ~ok] = clipped[:, :, ~ok]
-    dual[:, :, :, ~ok] = 0.0
+    dual[:, :, ~ok] = 0.0
     return x
-
-
-def _copy_slices(dst, src):
-    """dst[...] = src for (2, H, W, tb) fields. Between a block and a
-    workspace of more slices the runs along the time axis are short, so
-    one time slice at a time, whose copy numpy runs as longer strided
-    loops, is faster; a block that is the whole volume is contiguous on
-    both sides and goes in one copy."""
-    if dst.flags.c_contiguous and src.flags.c_contiguous:
-        dst[...] = src
-    else:
-        for k in range(dst.shape[-1]):
-            dst[..., k] = src[..., k]
 
 
 def _slice_objectives(x, vol, weight):
@@ -323,7 +295,8 @@ def spiral_solve(y, g, b, config=None, init=None):
     lam = convolve3d(g, x, b)
     phi = _nll_of_lambda(lam, counts) + beta * tv_penalty(x)
     trace = [phi]
-    dual = np.zeros((2,) + counts.shape, dtype=np.float32)  # the prox's p1, p2
+    height, width, slices = counts.shape
+    dual = np.zeros((2 * height + 1, width, slices), np.float32)  # zero row, p1, p2
     trial_steps = 0
     backtracks = []
     alpha_lo, alpha_hi = _STEP_BOUNDS
@@ -439,7 +412,7 @@ def _window_sums(data, k_star, window_half):
 def save_volume(rd, path):
     """Write a reconstructed volume as an SPR1 file plus sidecar."""
     meta = {"bin_width": float(rd.bin_width), "t0": float(rd.t0)}
-    io.write_cube(path, rd.data.astype(np.float64), meta)
+    io.write_cube(path, rd.data, meta)
 
 
 def load_volume(path):

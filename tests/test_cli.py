@@ -316,10 +316,16 @@ def test_reconstruct_matches_experiment_cell(scene_dir, tmp_path, method):
     assert main(["experiment", str(spec_path), "-o", str(run)]) == 0
     cell = run / "cells" / f"{method}_ppp8_seed0"
     out = tmp_path / "cli"
-    assert main([
-        "reconstruct", str(run / "cubes" / "ppp8_seed0.sph1"), "-o", str(out),
-        "--method", method, "--beta", "0.05", "--max-iters", "3",
-    ]) == 0
+    command = ["reconstruct", str(run / "cubes" / "ppp8_seed0.sph1"), "-o", str(out),
+               "--method", method]
+    if method == "deconv3d":
+        command += ["--beta", "0.05", "--max-iters", "3"]
+    else:  # solver flags would do nothing: a usage error, and no output
+        for flags in (["--beta", "0.3"], ["--max-iters", "7"], ["--rel-tol", "0.5"],
+                      ["--beta", "0.3", "--max-iters", "7", "--rel-tol", "0.5"]):
+            assert main(command + flags) == 2
+        assert not out.exists()
+    assert main(command) == 0
     names = ["depth.pgm", "depth.pgm.json", "reflectivity.pgm",
              "reflectivity.pgm.json"]
     if method == "deconv3d":
@@ -369,6 +375,21 @@ def test_experiment_bad_spec_is_usage_error(tmp_path, capsys):
         raw["scan"][key] = value
         stale.write_text(json.dumps(raw))
         assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
+    # a scene key that its kind ignores would land in manifest.json unused
+    for scene in ({"kind": "dir", "path": "scene", "d_fg": 9.0},
+                  {"kind": "chart", "path": "scene"}):
+        raw = experiment_spec_dict(tmp_path)
+        raw["scene"] = scene
+        stale.write_text(json.dumps(raw))
+        assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
+    # json reads NaN and Infinity; simulate cannot use them
+    for key, value in (("ppp", [float("nan")]), ("ppp", [1.0, float("inf")]),
+                       ("sbr", float("nan")), ("sbr", float("inf"))):
+        raw = experiment_spec_dict(tmp_path)
+        raw[key] = value
+        stale.write_text(json.dumps(raw))
+        assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
+    raw = experiment_spec_dict(tmp_path)
     raw["scene"] = {"kind": "dir", "path": "scène"}  # specs are read as ASCII
     stale.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
     assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2

@@ -275,10 +275,10 @@ def test_calibrate_errors_and_limits():
     cfg = ScanConfig()
     with pytest.raises(ValueError):
         calibrate_flux(np.zeros((2, 2, 4)), 1.0, 0.2, cfg)
-    with pytest.raises(ValueError):
-        calibrate_flux(np.ones((2, 2, 4)), -1.0, 0.2, cfg)
-    _, b = calibrate_flux(np.ones((2, 2, cfg.n_bins)), 1.0, float("inf"), cfg)
-    assert b == 0.0
+    for ppp, sbr in ((-1.0, 0.2), (1.0, 0.0), (np.nan, 0.2), (np.inf, 0.2),
+                     (1.0, np.nan), (1.0, np.inf)):  # inf sbr used to give b = 0
+        with pytest.raises(ValueError, match="positive and finite"):
+            calibrate_flux(np.ones((2, 2, 4)), ppp, sbr, cfg)
 
 
 # --- scan config --------------------------------------------------------

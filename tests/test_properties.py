@@ -5,7 +5,6 @@ database)."""
 
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from splidar import io, solver
+from splidar import io
 from splidar.baselines import pixelwise_ml
 from splidar.evaluate import reconstruct_cell
 from splidar.forward import (
@@ -61,12 +60,14 @@ def _slice_objective(x, v, weight):
 
 
 def _starting_dual(rng, shape, kind):
-    """A (2, H, W, T) float32 start for the prox's dual fields: None (the
-    cold start), uniform in the box [-1, 1], or that with NaN, +inf and
-    -inf entries, as a float32 loop that overflowed could leave."""
+    """A (2H+1, W, T) float32 start for the prox's workspace (zero row, p1,
+    p2): None (the cold start), uniform in the box [-1, 1] in every row,
+    the zero row included, or that with NaN, +inf and -inf entries, as a
+    float32 loop that overflowed could leave."""
     if kind == "cold":
         return None
-    dual = rng.uniform(-1.0, 1.0, (2,) + shape).astype(np.float32)
+    h, w, t = shape
+    dual = rng.uniform(-1.0, 1.0, (2 * h + 1, w, t)).astype(np.float32)
     if kind == "non-finite":
         flat = dual.reshape(-1)
         for value in (np.nan, np.inf, -np.inf):
@@ -103,9 +104,10 @@ def test_prox_nonnegative_and_never_worse_than_projection(shape, seed, scale,
 def _reference_prox(v, weight, inner_iters, start=None):
     """The TV prox as first written: the same float32 dual loop on 3D
     fields, with 2D-sliced differences and explicit edge writes. It starts
-    from zero or from start = (p1, p2), whose entries the loop never reads
-    (p1's last row, p2's last column) set to zero, and returns the output
-    and the final (p1, p2), zero in every slice the safeguard replaced."""
+    from zero or from start = [zero row, p1, p2], whose entries the loop
+    never reads (the zero row, p1's last row, p2's last column) set to
+    zero, and returns the output and the final (p1, p2), zero in every
+    slice the safeguard replaced."""
     vol = np.asarray(v, dtype=np.float64)
     clipped = np.maximum(vol, 0.0)
     if weight == 0 or inner_iters == 0:
@@ -128,8 +130,9 @@ def _reference_prox(v, weight, inner_iters, start=None):
     p1 = np.zeros(vol.shape, dtype=np.float32)
     p2 = np.zeros_like(p1)
     if start is not None:
-        p1[:-1] = start[0][:-1]
-        p2[:, :-1] = start[1][:, :-1]
+        h = vol.shape[0]
+        p1[:-1] = start[1:h]
+        p2[:, :-1] = start[h + 1 :, :-1]
     u = np.empty_like(p1)
     g = np.empty_like(p1)
     vw = (vol / weight).astype(np.float32)
@@ -176,7 +179,8 @@ def _assert_prox_matches_reference(v, weight, inner_iters, dual=None):
     assert x.shape == expected.shape and x.dtype == expected.dtype
     assert x.tobytes() == expected.tobytes()
     if dual is not None:
-        assert dual.tobytes() == np.stack([p1, p2]).tobytes()
+        zero = np.zeros((1,) + v.shape[1:], np.float32)
+        assert dual.tobytes() == np.concatenate([zero, p1, p2]).tobytes()
 
 
 @given(
@@ -186,27 +190,18 @@ def _assert_prox_matches_reference(v, weight, inner_iters, dual=None):
     st.one_of(st.floats(1e-3, 5.0), st.floats(1e-308, 1e-30)),
     st.integers(0, 25),
     st.sampled_from(["cold", "warm"]),
-    st.data(),
 )
 def test_prox_matches_the_sliced_reference_byte_for_byte(shape, seed, kind,
                                                          weight, inner_iters,
-                                                         start, data):
-    # blocks of 1 .. T slices, so most shapes span several blocks and
-    # many end on a partial one; the remainder checks the floor division
-    h, w, t = shape
-    slices = data.draw(st.integers(1, t), label="slices per block")
-    block = slices * h * w + data.draw(st.integers(0, h * w - 1), label="extra")
+                                                         start):
     rng = np.random.default_rng(seed)
     v = _prox_input(rng, shape, kind)
     dual = _starting_dual(rng, shape, start)
-    with mock.patch.object(solver, "_PROX_BLOCK_VOXELS", block):
-        _assert_prox_matches_reference(v, weight, inner_iters, dual)
+    _assert_prox_matches_reference(v, weight, inner_iters, dual)
 
 
 def test_prox_matches_the_sliced_reference_on_the_chart_shape():
     shape = (120, 128, 64)
-    # the shipped block size splits this shape into several multi-slice blocks
-    assert 2 * shape[0] * shape[1] <= solver._PROX_BLOCK_VOXELS < np.prod(shape)
     v = _prox_input(np.random.default_rng(0), shape, "signed zeros")
     _assert_prox_matches_reference(v, 0.05, 20)
 

@@ -146,7 +146,7 @@ def test_prox_weight_zero_is_projection():
         prox_tv_nonneg(v, 0.5, inner_iters=0), np.maximum(v, 0)
     )
     # no dual loop runs, so the next call through this workspace starts cold
-    dual = np.empty((2,) + v.shape, dtype=np.float32)
+    dual = np.empty((2 * 5 + 1, 6, 3), dtype=np.float32)
     for weight, iters in ((0.0, 20), (0.5, 0)):
         dual.fill(np.nan)
         np.testing.assert_array_equal(
@@ -155,10 +155,16 @@ def test_prox_weight_zero_is_projection():
         assert not dual.any()
     with pytest.raises(ValueError):
         prox_tv_nonneg(v, -0.1)
-    for bad in (np.zeros((2, 5, 6, 2), np.float32), np.zeros(v.shape, np.float32),
-                np.zeros((2,) + v.shape)):  # wrong shapes, then float64
+    # wrong shapes (the two fields stacked, one slice short, one field),
+    # float64, and a non-contiguous view, whose flat copy would lose the
+    # warm start
+    for bad in (np.zeros((2,) + v.shape, np.float32),
+                np.zeros((11, 6, 2), np.float32), np.zeros(v.shape, np.float32),
+                np.zeros((11, 6, 3)), np.zeros((11, 6, 6), np.float32)[:, :, ::2]):
         with pytest.raises(ValueError, match="dual"):
             prox_tv_nonneg(v, 0.5, dual=bad)
+        with pytest.raises(ValueError, match="dual"):
+            prox_tv_nonneg(v, 0.0, dual=bad)
 
 
 def test_prox_constant_volume_unchanged():
