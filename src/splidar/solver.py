@@ -209,9 +209,9 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
     p1, p1_prev = fields[row : row + n], fields[:n]
     p2, p2_prev = fields[row + n :], fields[row + n - col : row + 2 * n - col]
     live = fields[row:]
-    dual[0] = 0.0
-    dual[height] = 0.0
-    dual[height + 1 :, -1] = 0.0
+    dual[0] = 0.0  # the zero row
+    dual[height] = 0.0  # p1's last row
+    dual[height + 1 :, -1] = 0.0  # p2's last column
     step = np.zeros(2 * n, dtype=np.float32)
     g1, g2 = step[: n - row], step[n : 2 * n - col]  # p1's last row: no step
     g2_wrap = step[n:].reshape(vol.shape)[:, -1]  # differences across a row end
