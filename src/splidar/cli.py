@@ -16,7 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .evaluate import ExperimentSpec, reconstruct_cell, run_experiment, save_cell_outputs
+from .evaluate import (
+    KNOWN_METHODS,
+    ExperimentSpec,
+    reconstruct_cell,
+    run_experiment,
+    save_cell_outputs,
+)
 from .forward import ScanConfig, load_cube, save_cube, simulate
 from .scene import load_scene, load_scene_dir, make_resolution_chart, save_scene
 from .solver import SolverConfig
@@ -84,7 +90,7 @@ def _build_parser():
     p = sub.add_parser("reconstruct", help="depth/reflectivity maps from a cube")
     p.add_argument("cube")
     p.add_argument("-o", "--out", required=True, help="output directory")
-    p.add_argument("--method", required=True, choices=["deconv3d", "ml", "noscan"])
+    p.add_argument("--method", required=True, choices=KNOWN_METHODS)
     p.add_argument("--beta", type=float, help="TV weight")
     p.add_argument("--max-iters", type=int)
     p.add_argument("--rel-tol", type=float)
@@ -126,10 +132,13 @@ def _cmd_make_scene_files(args):
 
 def _cmd_simulate(args):
     scene, _ = load_scene_dir(args.scene_dir)
-    config = ScanConfig(**_given(
-        args, "n", "jitter_fwhm", "bin_width", "n_bins", "rep_period", "sbr_window", "t0"
-    ))
-    cube = simulate(scene, config, args.ppp, args.sbr, args.seed)
+    try:
+        config = ScanConfig(**_given(
+            args, "n", "jitter_fwhm", "bin_width", "n_bins", "rep_period", "sbr_window", "t0"
+        ))
+        cube = simulate(scene, config, args.ppp, args.sbr, args.seed)
+    except ValueError as exc:
+        raise _UsageError(f"invalid simulate settings: {exc}")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_cube(cube, args.out)
     print(f"wrote {cube.shape[0]}x{cube.shape[1]}x{cube.shape[2]} cube to {args.out}")
@@ -172,12 +181,14 @@ def _apply_colormap(norm, name):
 
 
 def _cmd_render(args):
-    values, valid, _meta = io.read_map(args.map)
     if args.depth_range is not None:
         lo, hi = args.depth_range
-    elif valid.any():
+        if not -np.inf < lo < hi < np.inf:
+            raise _UsageError(f"--depth-range needs finite LO < HI, got {lo} {hi}")
+    values, valid, _meta = io.read_map(args.map)
+    if args.depth_range is None and valid.any():
         lo, hi = float(values[valid].min()), float(values[valid].max())
-    else:
+    elif args.depth_range is None:
         lo, hi = 0.0, 1.0
     span = hi - lo
     norm = (values - lo) / span if span > 0 else np.zeros_like(values)

@@ -88,8 +88,8 @@ def bar_contrast(reflectivity_map, groups):
     return np.array(contrasts)
 
 
-def resolved_groups(contrasts, threshold=RESOLVED_THRESHOLD):
-    return int(np.sum(np.asarray(contrasts) >= threshold))
+def resolved_groups(contrasts):
+    return int(np.sum(np.asarray(contrasts) >= RESOLVED_THRESHOLD))
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,10 @@ class RDVolume:
             raise ValueError(f"expected 3D data, got shape {d.shape}")
         if d.size and not (d.min() >= 0 and np.isfinite(d.max())):
             raise ValueError("volume entries must be finite and non-negative")
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be positive")
+        if not 0 < self.bin_width < np.inf:
+            raise ValueError(f"bin_width must be positive and finite: {self.bin_width}")
+        if not np.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite: {self.t0}")
         object.__setattr__(self, "data", d)
 
     @property
@@ -203,12 +205,23 @@ def _load_depth(path, d_min, d_max):
             raise ValueError("integer depth maps need an explicit [d_min, d_max]")
         values, maxval = io.read_pgm(path)
         return d_min + values.astype(np.float64) / maxval * (d_max - d_min)
-    values = io.read_pfm(path).astype(np.float64)
-    if values.min() < 0:
-        raise ValueError(f"negative float depth: {path}")
+    values, lo, hi = _read_float_depth(path)
     if d_min is None or d_max is None:
         return values  # already meters
+    return _stretch_depth(values, lo, hi, d_min, d_max)
+
+
+def _read_float_depth(path):
+    """A float depth map in meters as float64, with its min and max."""
+    values = io.read_pfm(path)
     lo, hi = float(values.min()), float(values.max())
+    if lo < 0:
+        raise ValueError(f"negative float depth: {path}")
+    return values.astype(np.float64), lo, hi
+
+
+def _stretch_depth(values, lo, hi, d_min, d_max):
+    """Map [lo, hi] affinely onto [d_min, d_max]."""
     if hi > lo:
         return d_min + (values - lo) / (hi - lo) * (d_max - d_min)
     return np.full_like(values, float(d_min))
@@ -257,11 +270,18 @@ def load_scene_dir(scene_dir):
     unknown = sorted(set(meta) - {"height", "width", "d_min", "d_max"})
     if unknown:
         raise ValueError(f"{meta_path}: a scene holds no {', '.join(unknown)}")
-    scene = load_scene(
-        d / "reflectivity.pgm",
-        d / "depth.pfm",
-        d_min=meta["d_min"],
-        d_max=meta["d_max"],
+    # depth.pfm holds the depths at float32; meta.json restores the float64
+    # ends of their range, and must name the raster's own range to do so
+    depth, lo, hi = _read_float_depth(d / "depth.pfm")
+    d_min, d_max = meta["d_min"], meta["d_max"]
+    if (lo, hi) != (np.float32(d_min), np.float32(d_max)):
+        raise ValueError(
+            f"{meta_path} says depths {d_min}..{d_max} m, "
+            f"depth.pfm holds {lo}..{hi} m"
+        )
+    scene = Scene(
+        reflectivity=_load_reflectivity(d / "reflectivity.pgm"),
+        depth=_stretch_depth(depth, lo, hi, d_min, d_max),
     )
     if (meta["height"], meta["width"]) != (scene.height, scene.width):
         raise ValueError(

@@ -7,13 +7,13 @@ The reconstruction solves
 where L(x) = sum(Lambda - Y * log(Lambda)), Lambda = g * x + b, by a monotone
 proximal gradient loop: an inverse step proposed by the two Barzilai-Borwein
 ratios in turn (the alternating rule of Dai and Fletcher, 2005), then
-backtracking until a sufficient-decrease test holds. TV is anisotropic and
-acts within time slices; its prox is approximated by a fixed number of dual
-fixed-point iterations, run in place in one flat float32 workspace that
-holds both dual fields. A solve allocates that workspace once, so the dual
-fields carry over from each trial step, accepted or rejected, to the next
-and a prox call starts where the previous one stopped; they start from
-zero in every solve, so reruns stay byte-identical.
+backtracking until a sufficient-decrease test holds; a solve ends converged or
+at its cap. TV is anisotropic and acts within time slices; its prox is
+approximated by a fixed number of dual fixed-point iterations, run in place in
+one flat float32 workspace that holds both dual fields. A solve allocates that
+workspace once, so the dual fields carry over from each trial step, accepted
+or rejected, to the next and a prox call starts where the previous one
+stopped; they start from zero in every solve, so reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ _PROX_TAU = 0.249  # dual ascent step, < 1/4 keeps the 2D fixed point stable
 _STEP_INIT = 1.0  # inverse step of the first iteration
 _STEP_BOUNDS = (1e-8, 1e8)  # every proposed inverse step is clamped here
 _BACKTRACK_ETA = 2.0  # inverse-step growth per rejected trial
+_MAX_DOUBLINGS = 50  # doublings in one iteration; a rejection after them is a stall
 _ACCEPT_SIGMA = 0.1  # sufficient-decrease fraction
 _EPSILON_FLOOR = 1e-10  # floor on Lambda inside the log and the gradient ratio
 
@@ -270,9 +271,12 @@ def spiral_solve(y, g, b, config=None, init=None):
 
     which makes the objective trace non-increasing by construction. Every
     trial passes the same dual workspace to the prox, so each starts from
-    the latest trial's dual fields. Stops on relative change < rel_tol or
-    after max_iters. Default initialization is the backprojection
-    g~ * max(Y - b, 0).
+    the latest trial's dual fields. Stops as converged on a relative change
+    below rel_tol, or at a stall, where an iteration's trials all fail up to
+    50 doublings as the decrease is lost to rounding: its trials count in
+    trial_steps only, and the iterate and trace stay at the last accepted
+    one. Otherwise stops after max_iters. Default initialization is the
+    backprojection g~ * max(Y - b, 0).
 
     y may be a HistogramCube or a bare count array; with a cube, the output
     volume inherits its bin_width and t0.
@@ -299,31 +303,25 @@ def spiral_solve(y, g, b, config=None, init=None):
     dual = np.zeros((2 * height + 1, width, slices), np.float32)  # zero row, p1, p2
     trial_steps = 0
     backtracks = []
-    alpha_lo, alpha_hi = _STEP_BOUNDS
-    last_alpha = _STEP_INIT
-    prev_x = None
-    prev_grad = None
-    iterations = 0
+    alpha = _STEP_INIT
     converged = False
     rel_change = float("inf")
 
     for _ in range(config.max_iters):
         grad = _nll_gradient_of_lambda(lam, counts, g)
-        if prev_x is None:
-            alpha = last_alpha
-        else:
+        if backtracks:  # alpha holds the last accepted inverse step
             dx = x - prev_x
             dg = grad - prev_grad
             curv = _dot(dx, dg)
-            if iterations % 2:  # BB1, <dx, dg> / <dx, dx>
+            if len(backtracks) % 2:  # BB1, <dx, dg> / <dx, dx>
                 numer, denom = curv, _dot(dx, dx)
             else:  # BB2, <dg, dg> / <dx, dg>
                 numer, denom = _dot(dg, dg), curv
-            alpha = numer / denom if denom > 0 and numer > 0 else last_alpha
-        alpha = float(np.clip(alpha, alpha_lo, alpha_hi))
+            if denom > 0 and numer > 0:
+                alpha = numer / denom
+        alpha = float(np.clip(alpha, *_STEP_BOUNDS))
 
-        doublings = 0
-        while True:
+        for doublings in range(_MAX_DOUBLINGS + 1):
             x_new = prox_tv_nonneg(x - grad / alpha, beta / alpha, dual=dual)
             trial_steps += 1
             step = x_new - x
@@ -333,21 +331,15 @@ def spiral_solve(y, g, b, config=None, init=None):
             if phi_new <= phi - _ACCEPT_SIGMA * (alpha / 2.0) * step_sq:
                 break
             alpha *= _BACKTRACK_ETA
-            doublings += 1
-            if doublings > 50:
-                raise RuntimeError(
-                    f"no acceptable step after 50 backtracks at iteration "
-                    f"{iterations} (objective {phi:.6g}); the model is likely "
-                    f"inconsistent with the data scale"
-                )
+        else:  # the objective has stalled at rounding level
+            converged = True
+            break
 
         rel_change = np.sqrt(step_sq) / max(np.sqrt(_dot(x, x)), _EPSILON_FLOOR)
         prev_x, prev_grad = x, grad
         x, lam, phi = x_new, lam_new, phi_new
-        last_alpha = alpha
         trace.append(phi)
         backtracks.append(doublings)
-        iterations += 1
         if rel_change < config.rel_tol:
             converged = True
             break
@@ -355,7 +347,7 @@ def spiral_solve(y, g, b, config=None, init=None):
     volume = RDVolume(data=x, bin_width=bin_width, t0=t0)
     report = SolveReport(
         objective_trace=trace,
-        iterations=iterations,
+        iterations=len(backtracks),
         converged=converged,
         final_rel_change=float(rel_change),
         trial_steps=trial_steps,

@@ -117,6 +117,21 @@ def test_simulate_rerun_byte_identical(scene_dir, tmp_path):
     )
 
 
+@pytest.mark.parametrize("flag", [
+    ["--ppp", "nan"], ["--ppp", "-1"], ["--sbr", "inf"], ["--n", "0"], ["--bins", "2"],
+], ids=["ppp-nan", "ppp-negative", "sbr-inf", "n-zero", "bins-2"])
+def test_simulate_bad_setting_is_usage_error(scene_dir, tmp_path, capsys, flag):
+    out = tmp_path / "cube.sph1"
+    rc = main([
+        "simulate", str(scene_dir), "-o", str(out),
+        "--n", "1", "--ppp", "20", "--sbr", "2", "--seed", "3",
+        "--bins", "16", "--bin-width", "1.6e-9", "--sbr-window", "25e-9",
+    ] + flag)
+    assert rc == 2
+    assert not out.exists()
+    assert "invalid simulate settings" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", ["ml", "noscan", "deconv3d"])
 def test_reconstruct_methods(cube_path, tmp_path, method):
     out = tmp_path / method
@@ -234,6 +249,13 @@ def test_render_gray_and_sentinel(tmp_path):
     ]) == 0
     rgb = read_ppm(out)
     assert tuple(rgb[1, 0]) == (128, 128, 128)  # 2.0 of [0, 4]
+    # a reversed, empty or non-finite range is refused before anything is written
+    bad = tmp_path / "bad.ppm"
+    for lo, hi in (("5", "1"), ("nan", "nan"), ("2", "2"), ("0", "inf")):
+        assert main([
+            "render", str(tmp_path / "m.pgm"), "-o", str(bad), "--depth-range", lo, hi,
+        ]) == 2
+        assert not bad.exists()
 
 
 def test_render_fire_colormap_endpoints(tmp_path):

@@ -18,7 +18,7 @@ from splidar.scene import (
     save_scene,
     scene_to_rd,
 )
-from splidar.solver import extract_depth_reflectivity
+from splidar.solver import extract_depth_reflectivity, load_volume, save_volume
 
 
 def test_chart_shape_and_determinism():
@@ -183,9 +183,14 @@ def test_scene_dir_round_trip(tmp_path):
     (tmp_path / "s" / "meta.json").write_text(json.dumps({**meta, "height": 7, "width": 9}))
     with pytest.raises(ValueError, match="7x9.*120x128"):
         load_scene_dir(tmp_path / "s")
+    # so is a depth range other than the raster's, which would rescale every
+    # depth: 3..60 m stretched the chart's bars and background apart
+    (tmp_path / "s" / "meta.json").write_text(json.dumps({**meta, "d_max": 60.0}))
+    with pytest.raises(ValueError, match="60.0 m.*depth.pfm holds 3.0..5.4"):
+        load_scene_dir(tmp_path / "s")
 
 
-def test_rdvolume_validation():
+def test_rdvolume_validation(tmp_path):
     with pytest.raises(ValueError):
         RDVolume(data=-np.ones((2, 2, 2)), bin_width=1e-9)
     for bad in (np.nan, np.inf):
@@ -193,5 +198,15 @@ def test_rdvolume_validation():
         data[0, 0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             RDVolume(data=data, bin_width=1e-9)
+        with pytest.raises(ValueError, match="bin_width"):
+            RDVolume(data=np.ones((1, 1, 2)), bin_width=bad)
+        with pytest.raises(ValueError, match="t0"):
+            RDVolume(data=np.ones((1, 1, 2)), bin_width=1e-9, t0=bad)
     with pytest.raises(ValueError):
         RDVolume(data=np.ones((2, 2)), bin_width=1e-9)
+    # a volume file whose sidecar says NaN no longer loads with NaN depths
+    save_volume(RDVolume(data=np.ones((1, 1, 2)), bin_width=1e-9), tmp_path / "v.spr1")
+    for key in ("bin_width", "t0"):
+        io.write_json(tmp_path / "v.spr1.json", {"bin_width": 1e-9, "t0": 0.0, key: np.nan})
+        with pytest.raises(ValueError, match=key):
+            load_volume(tmp_path / "v.spr1")

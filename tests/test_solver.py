@@ -356,6 +356,30 @@ def test_alternating_bb_steps_keep_the_chart_free_of_backtracks():
     assert rep.trial_steps <= 13
 
 
+def test_a_stalled_solve_ends_converged(natural_scene):
+    # tile 26 of the natural-lowlight benchmark at seed 1505, solved with no
+    # relative-change stop: after iteration 79 the objective has stalled at
+    # rounding level and no doubling of alpha passes the decrease test. The
+    # solve used to raise RuntimeError there; it now ends as converged at
+    # the last accepted iterate
+    win = (slice(42, 54), slice(70, 82))
+    tile = Scene(reflectivity=natural_scene.reflectivity[win].copy(),
+                 depth=natural_scene.depth[win].copy())
+    cfg = ScanConfig(n=4, jitter_fwhm=1e-9, bin_width=1.6e-9, n_bins=64)
+    cube = simulate(tile, cfg, ppp=1.0, sbr=0.2, seed=1505026)
+    _, rep, _, _ = reconstruct_cell(
+        cube, "deconv3d", SolverConfig(beta=0.1, max_iters=600, rel_tol=0.0)
+    )
+    trace = np.asarray(rep.objective_trace)
+    assert rep.converged
+    assert rep.iterations == 79
+    assert len(rep.backtracks) == rep.iterations == trace.size - 1
+    assert (np.diff(trace) <= 0).all()
+    assert rep.final_rel_change < 1e-12
+    # the stalled iteration's 51 rejected trials count in trial_steps only
+    assert rep.trial_steps == rep.iterations + sum(rep.backtracks) + 51
+
+
 def test_solve_deterministic():
     scene = Scene(
         reflectivity=np.full((6, 6), 0.5), depth=np.full((6, 6), 1.5)
