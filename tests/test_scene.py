@@ -184,7 +184,7 @@ def test_scene_dir_round_trip(tmp_path):
     with pytest.raises(ValueError, match="7x9.*120x128"):
         load_scene_dir(tmp_path / "s")
     # so is a depth range other than the raster's, which would rescale every
-    # depth: 3..60 m stretched the chart's bars and background apart
+    # depth
     (tmp_path / "s" / "meta.json").write_text(json.dumps({**meta, "d_max": 60.0}))
     with pytest.raises(ValueError, match="60.0 m.*depth.pfm holds 3.0..5.4"):
         load_scene_dir(tmp_path / "s")
@@ -204,7 +204,7 @@ def test_rdvolume_validation(tmp_path):
             RDVolume(data=np.ones((1, 1, 2)), bin_width=1e-9, t0=bad)
     with pytest.raises(ValueError):
         RDVolume(data=np.ones((2, 2)), bin_width=1e-9)
-    # a volume file whose sidecar says NaN no longer loads with NaN depths
+    # so is a volume file whose sidecar says NaN, which would give NaN depths
     save_volume(RDVolume(data=np.ones((1, 1, 2)), bin_width=1e-9), tmp_path / "v.spr1")
     for key in ("bin_width", "t0"):
         io.write_json(tmp_path / "v.spr1.json", {"bin_width": 1e-9, "t0": 0.0, key: np.nan})

@@ -359,9 +359,8 @@ def test_alternating_bb_steps_keep_the_chart_free_of_backtracks():
 def test_a_stalled_solve_ends_converged(natural_scene):
     # tile 26 of the natural-lowlight benchmark at seed 1505, solved with no
     # relative-change stop: after iteration 79 the objective has stalled at
-    # rounding level and no doubling of alpha passes the decrease test. The
-    # solve used to raise RuntimeError there; it now ends as converged at
-    # the last accepted iterate
+    # rounding level and no doubling of alpha passes the decrease test; the
+    # solve ends there as converged at the last accepted iterate
     win = (slice(42, 54), slice(70, 82))
     tile = Scene(reflectivity=natural_scene.reflectivity[win].copy(),
                  depth=natural_scene.depth[win].copy())
