@@ -271,7 +271,9 @@ def load_scene_dir(scene_dir):
     if unknown:
         raise ValueError(f"{meta_path}: a scene holds no {', '.join(unknown)}")
     # depth.pfm holds the depths at float32; meta.json restores the float64
-    # ends of their range, and must name the raster's own range to do so
+    # ends of their range, and must name the raster's own range to do so.
+    # Ends that float32 holds exactly leave the raster as it is: the affine
+    # map is then the identity, but not in float64 arithmetic.
     depth, lo, hi = _read_float_depth(d / "depth.pfm")
     d_min, d_max = meta["d_min"], meta["d_max"]
     if (lo, hi) != (np.float32(d_min), np.float32(d_max)):
@@ -279,9 +281,10 @@ def load_scene_dir(scene_dir):
             f"{meta_path} says depths {d_min}..{d_max} m, "
             f"depth.pfm holds {lo}..{hi} m"
         )
+    if (d_min, d_max) != (lo, hi):
+        depth = _stretch_depth(depth, lo, hi, d_min, d_max)
     scene = Scene(
-        reflectivity=_load_reflectivity(d / "reflectivity.pgm"),
-        depth=_stretch_depth(depth, lo, hi, d_min, d_max),
+        reflectivity=_load_reflectivity(d / "reflectivity.pgm"), depth=depth
     )
     if (meta["height"], meta["width"]) != (scene.height, scene.width):
         raise ValueError(

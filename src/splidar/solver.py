@@ -9,11 +9,15 @@ proximal gradient loop: an inverse step proposed by the two Barzilai-Borwein
 ratios in turn (the alternating rule of Dai and Fletcher, 2005), then
 backtracking until a sufficient-decrease test holds; a solve ends converged or
 at its cap. TV is anisotropic and acts within time slices; its prox is
-approximated by a fixed number of dual fixed-point iterations, run in place in
-one flat float32 workspace that holds both dual fields. A solve allocates that
-workspace once, so the dual fields carry over from each trial step, accepted
-or rejected, to the next and a prox call starts where the previous one
-stopped; they start from zero in every solve, so reruns stay byte-identical.
+approximated by dual fixed-point iterations, run in place in one flat float32
+workspace that holds both dual fields. A solve allocates that workspace once,
+so the dual fields carry over from each trial step, accepted or rejected, to
+the next and a prox call starts where the previous one stopped; they start
+from zero in every solve, so reruns stay byte-identical. After the first
+accepted iteration a prox call stops early once its duality gap, which bounds
+its error, is small next to the last accepted decrease of the objective (an
+inexact proximal-gradient step: Schmidt, Le Roux and Bach, 2011; Villa,
+Salzo, Baldassarre and Verri, 2013); otherwise it runs to its cap.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .forward import HistogramCube, convolve3d, convolve3d_adjoint
 from .scene import SPEED_OF_LIGHT, RDVolume, _as_volume
 
 _PROX_TAU = 0.249  # dual ascent step, < 1/4 keeps the 2D fixed point stable
+_PROX_GAP_CHECK = 5  # inner iteration after which a gap target is checked
+_PROX_GAP_KAPPA = 0.1  # prox error allowed per unit of the last accepted decrease
 _STEP_INIT = 1.0  # inverse step of the first iteration
 _STEP_BOUNDS = (1e-8, 1e8)  # every proposed inverse step is clamped here
 _BACKTRACK_ETA = 2.0  # inverse-step growth per rejected trial
@@ -154,15 +160,29 @@ def tv_penalty(rd):
     return float(np.abs(x[1:] - x[:-1]).sum() + np.abs(x[:, 1:] - x[:, :-1]).sum())
 
 
-def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
+def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None, gap_target=None):
     """Approximate argmin_{x >= 0} 0.5||x - v||^2 + weight * TV(x).
 
-    Runs a fixed number of projected dual fixed-point iterations (dual
+    Runs up to inner_iters projected dual fixed-point iterations (dual
     variables box-clipped to [-1, 1] componentwise, matching anisotropic
     TV), projects onto x >= 0, then keeps, per time slice, whichever of the
     iterate and max(v, 0) has the lower sub-problem objective. That makes
     two guarantees unconditional: the output is non-negative, and its
-    objective never exceeds the one at max(v, 0).
+    objective never exceeds the one at max(v, 0). weight must be finite and
+    non-negative.
+
+    gap_target, if given (finite and non-negative), lets the loop stop
+    early. After 5 inner iterations (if inner_iters is larger) it computes
+    the primal x = max(v - weight * div p, 0) of its dual fields p and the
+    duality gap P(x) - D(p), summed over time slices, where P is the
+    sub-problem objective and D(p) = 0.5||v||^2 - 0.5||x||^2 its dual. The
+    gap bounds P(x) - P(exact prox). If it is at most gap_target, the loop
+    stops there and that x, with its per-slice P, goes to the safeguard, so
+    the output is within gap_target of the exact prox's objective (up to
+    the float32 rounding of div p). Otherwise the loop runs on to
+    inner_iters. A stop after k iterations returns the bytes, and leaves
+    the dual fields, of a call with inner_iters=k. gap_target=None (the
+    default) always runs inner_iters.
 
     dual, if given, is a C-contiguous float32 array of shape (2H+1, W, T)
     for a (H, W, T) volume: dual[0] is a zero row, dual[1:H+1] the dual
@@ -175,8 +195,8 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
     replaces by max(v, 0) (every slice when the loop does not run) are set
     to zero on exit, so a slice whose float32 loop overflowed to NaN starts
     the next call cold. dual=None starts from a zeroed workspace of its
-    own. The output depends only on v, weight, inner_iters and the
-    starting fields, so a rerun of the same sequence of calls gives the
+    own. The output depends only on v, weight, inner_iters, gap_target and
+    the starting fields, so a rerun of the same sequence of calls gives the
     same bytes.
 
     The dual loop runs in float32; it is the hot path of the solve, and the
@@ -186,8 +206,10 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
     too, and every step of the loop is one contiguous pass. p1's last row
     is also p2's leading padding.
     """
-    if weight < 0:
-        raise ValueError("negative weight")
+    if not (np.isfinite(weight) and weight >= 0):
+        raise ValueError(f"weight must be finite and non-negative: {weight}")
+    if gap_target is not None and not (np.isfinite(gap_target) and gap_target >= 0):
+        raise ValueError(f"gap_target must be finite and non-negative: {gap_target}")
     vol = np.asarray(v, dtype=np.float64)
     height, width, slices = vol.shape
     shape = (2 * height + 1, width, slices)
@@ -220,12 +242,26 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
     vw = np.empty(n, dtype=np.float32)
     # the float64 quotient, rounded to float32 as astype would
     np.divide(vol, weight, out=vw.reshape(vol.shape))
+    x = np.empty(vol.shape)  # the primal, then the output
+    work = np.empty(vol.shape)  # float64 scratch of the objective evaluations
+    check = None if gap_target is None else _PROX_GAP_CHECK
     for it in range(inner_iters + 1):
         np.subtract(p1, p1_prev, out=u)  # u = div p, the adjoint of -grad
         u += p2
         u -= p2_prev
-        if it == inner_iters:
-            break
+        if it in (inner_iters, check):
+            # x = max(v - weight * u, 0), with u widened to float64 first
+            np.multiply(u.reshape(vol.shape), weight, out=x, dtype=np.float64)
+            np.subtract(vol, x, out=x)
+            np.maximum(x, 0.0, out=x)
+            objective = _slice_objectives(x, vol, weight, work)
+            if it == inner_iters:
+                break
+            # the duality gap P(x) - D(p), with D(p) = 0.5||v||^2 - 0.5||x||^2
+            gap = objective.sum() - 0.5 * float(np.square(vol, out=work).sum())
+            gap += 0.5 * float(np.square(x, out=work).sum())
+            if gap <= gap_target:
+                break
         u -= vw
         np.subtract(u[row:], u[: n - row], out=g1)
         np.subtract(u[col:], u[: n - col], out=g2)
@@ -233,20 +269,29 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None):
         step *= _PROX_TAU
         live += step
         np.clip(live, -1.0, 1.0, out=live)
-    x = np.maximum(vol - weight * u.reshape(vol.shape).astype(np.float64), 0.0)
     # "not <=" also replaces a slice whose float32 dual loop overflowed to NaN
-    ok = _slice_objectives(x, vol, weight) <= _slice_objectives(clipped, vol, weight)
+    ok = objective <= _slice_objectives(clipped, vol, weight, work)
     x[:, :, ~ok] = clipped[:, :, ~ok]
     dual[:, :, ~ok] = 0.0
     return x
 
 
-def _slice_objectives(x, vol, weight):
-    quad = 0.5 * ((x - vol) ** 2).sum(axis=(0, 1))
-    tv = np.abs(x[1:] - x[:-1]).sum(axis=(0, 1)) + np.abs(
-        x[:, 1:] - x[:, :-1]
-    ).sum(axis=(0, 1))
-    return quad + weight * tv
+def _slice_objectives(x, vol, weight, work):
+    """Per time slice, 0.5||x - vol||^2 + weight * TV(x), computed in the
+    float64 scratch work (x's shape) rather than in fresh temporaries."""
+    height, width, slices = x.shape
+    np.subtract(x, vol, out=work)
+    np.square(work, out=work)
+    quad = 0.5 * work.sum(axis=(0, 1))
+    rows = work[: height - 1]
+    np.subtract(x[1:], x[:-1], out=rows)
+    np.abs(rows, out=rows)
+    tv = rows.sum(axis=(0, 1))
+    cols = work.reshape(-1)[: height * (width - 1) * slices]
+    cols = cols.reshape(height, width - 1, slices)
+    np.subtract(x[:, 1:], x[:, :-1], out=cols)
+    np.abs(cols, out=cols)
+    return quad + weight * (tv + cols.sum(axis=(0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +316,17 @@ def spiral_solve(y, g, b, config=None, init=None):
 
     which makes the objective trace non-increasing by construction. Every
     trial passes the same dual workspace to the prox, so each starts from
-    the latest trial's dual fields. Stops as converged on a relative change
-    below rel_tol, or at a stall, where an iteration's trials all fail up to
-    50 doublings as the decrease is lost to rounding: its trials count in
-    trial_steps only, and the iterate and trace stay at the last accepted
-    one. Otherwise stops after max_iters. Default initialization is the
-    backprojection g~ * max(Y - b, 0).
+    the latest trial's dual fields. Once an iteration has been accepted,
+    each trial also passes the prox a gap target of 0.1 times the last
+    accepted decrease of Phi, divided by alpha: the prox sub-problem is
+    Phi's step model divided by alpha, so the prox may stop early once its
+    error in Phi's units is at most a tenth of the last decrease. The
+    first iteration's trials run the prox to its cap. Stops as converged on
+    a relative change below rel_tol, or at a stall, where an iteration's
+    trials all fail up to 50 doublings as the decrease is lost to rounding:
+    its trials count in trial_steps only, and the iterate and trace stay at
+    the last accepted one. Otherwise stops after max_iters. Default
+    initialization is the backprojection g~ * max(Y - b, 0).
 
     y may be a HistogramCube or a bare count array; with a cube, the output
     volume inherits its bin_width and t0.
@@ -322,7 +372,13 @@ def spiral_solve(y, g, b, config=None, init=None):
         alpha = float(np.clip(alpha, *_STEP_BOUNDS))
 
         for doublings in range(_MAX_DOUBLINGS + 1):
-            x_new = prox_tv_nonneg(x - grad / alpha, beta / alpha, dual=dual)
+            # the prox may stop once alpha times its gap, its error in
+            # objective units, is a small fraction of the last decrease
+            target = None
+            if backtracks:
+                target = _PROX_GAP_KAPPA * (trace[-2] - trace[-1]) / alpha
+            x_new = prox_tv_nonneg(x - grad / alpha, beta / alpha, dual=dual,
+                                   gap_target=target)
             trial_steps += 1
             step = x_new - x
             step_sq = _dot(step, step)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -23,7 +23,7 @@ from splidar.forward import (
     make_kernel,
 )
 from splidar.scene import SPEED_OF_LIGHT
-from splidar.solver import SolverConfig, prox_tv_nonneg
+from splidar.solver import _PROX_GAP_CHECK, SolverConfig, prox_tv_nonneg
 
 from test_forward import random_separable_kernel
 
@@ -99,6 +99,40 @@ def test_prox_nonnegative_and_never_worse_than_projection(shape, seed, scale,
     if dual is not None:  # what the next call starts from
         assert np.isfinite(dual).all()
         assert (np.abs(dual) <= 1.0).all()
+
+
+@given(
+    hnp.array_shapes(min_dims=3, max_dims=3, max_side=8),
+    seeds,
+    st.floats(0.1, 10.0),
+    st.floats(1e-3, 5.0),
+    st.floats(0.0, 0.5),
+    st.sampled_from(["cold", "warm"]),
+)
+def test_prox_stopped_on_its_gap_target_is_within_it(shape, seed, scale, weight,
+                                                     fraction, start):
+    # the target is a fraction of the objective at max(v, 0); a stop at the
+    # check returns the bytes of a call capped there, so the examples where
+    # the output differs from those ran on to the cap and certify nothing
+    rng = np.random.default_rng(seed)
+    v = scale * rng.standard_normal(shape)
+    dual = _starting_dual(rng, shape, start)
+    clipped = np.maximum(v, 0.0)
+    bound = _slice_objective(clipped, v, weight)
+    target = fraction * bound.sum()
+    start_copy = None if dual is None else dual.copy()
+    x = prox_tv_nonneg(v, weight, dual=dual, gap_target=target)
+    stopped = prox_tv_nonneg(v, weight, _PROX_GAP_CHECK, dual=start_copy)
+    assume(x.tobytes() == stopped.tobytes())
+    assert (x >= 0).all()
+    assert (_slice_objective(x, v, weight) <= bound + 1e-12 * np.abs(bound)).all()
+    # a feasible point, so no better than the exact prox; the slack covers
+    # the float32 rounding of div p inside the gap (a few ulps per voxel)
+    reference = prox_tv_nonneg(v, weight, 2000)
+    excess = _slice_objective(x, v, weight).sum() - _slice_objective(
+        reference, v, weight).sum()
+    slack = 1e-6 * weight * np.abs(x).sum() + 1e-12 * bound.sum()
+    assert excess <= target + slack
 
 
 def _reference_prox(v, weight, inner_iters, start=None):

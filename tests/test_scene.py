@@ -190,6 +190,18 @@ def test_scene_dir_round_trip(tmp_path):
         load_scene_dir(tmp_path / "s")
 
 
+def test_scene_dir_round_trip_keeps_float32_depths(tmp_path):
+    # depths that float32 holds exactly come back as saved; the affine map
+    # onto meta.json's range put 117 of these 3200 pixels 1 ulp off
+    for k in range(50):
+        rng = np.random.default_rng(k)
+        depth = np.float64(np.float32(rng.uniform(1.0, 10.0, (8, 8))))
+        scene = Scene(reflectivity=np.full((8, 8), 0.5), depth=depth)
+        save_scene(scene, tmp_path / f"s{k}")
+        back, _ = load_scene_dir(tmp_path / f"s{k}")
+        assert back.depth.tobytes() == depth.tobytes()
+
+
 def test_rdvolume_validation(tmp_path):
     with pytest.raises(ValueError):
         RDVolume(data=-np.ones((2, 2, 2)), bin_width=1e-9)
