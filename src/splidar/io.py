@@ -98,7 +98,12 @@ def read_pgm(path):
             raise ValueError(f"{len(raster) - need} bytes after the graymap raster: {path}")
         values = np.frombuffer(raster, dtype=dtype).reshape(h, w)
     else:
-        tokens, _ = _read_pnm_tokens(buf[offset:], h * w)
+        tokens, end = _read_pnm_tokens(buf[offset:], h * w)
+        if not all(t.isdigit() for t in tokens):
+            raise ValueError(f"graymap sample is not a non-negative integer: {path}")
+        extra = len(buf[offset + end :].split())
+        if extra:
+            raise ValueError(f"{extra} tokens after the graymap raster: {path}")
         values = np.array([int(t) for t in tokens], dtype=np.int64).reshape(h, w)
     values = values.astype(np.int64)
     if values.max(initial=0) > maxval:
@@ -162,8 +167,9 @@ def write_cube(path, data, meta):
     """Write a 3D cube with its JSON sidecar at path + ".json".
 
     Integer input -> count cube (magic SPH1, u32 samples); float input ->
-    volume cube (magic SPR1, f32 samples). Layout: magic, u32 height, width,
-    n_bins (little-endian), then row-major samples.
+    volume cube (magic SPR1, f32 samples), which must be finite and within
+    the float32 range. Layout: magic, u32 height, width, n_bins
+    (little-endian), then row-major samples. A refused cube writes nothing.
     """
     arr = np.asarray(data)
     if arr.ndim != 3:
@@ -175,6 +181,9 @@ def write_cube(path, data, meta):
             raise ValueError("counts exceed the u32 range of a count cube")
         magic, payload = CUBE_MAGIC_COUNTS, arr.astype("<u4").tobytes()
     else:
+        # "not <=" also refuses NaN, which max propagates
+        if arr.size and not arr.max() <= np.finfo(np.float32).max:
+            raise ValueError("volume values must be finite and within the float32 range")
         magic, payload = CUBE_MAGIC_FLOAT, arr.astype("<f4").tobytes()
     h, w, t = arr.shape
     Path(path).write_bytes(_CUBE_HEADER.pack(magic, h, w, t) + payload)
@@ -214,7 +223,9 @@ def write_map(path, values, valid, kind, units):
 
     Invalid pixels encode as 0; valid values map affinely from [vmin, vmax],
     the min and max over valid pixels, onto 1..65535. A degenerate span
-    encodes every valid pixel as 1.
+    encodes every valid pixel as 1. A non-finite valid value, or a span
+    vmax - vmin that overflows, is a ValueError and writes nothing, since
+    read_map would refuse or mis-decode it.
     """
     arr = np.asarray(values, dtype=np.float64)
     mask = np.asarray(valid, dtype=bool)
@@ -224,6 +235,8 @@ def write_map(path, values, valid, kind, units):
         lo, hi = float(arr[mask].min()), float(arr[mask].max())
     else:
         lo = hi = 0.0
+    if not math.isfinite(hi - lo):  # NaN and inf propagate to the span
+        raise ValueError(f"map span [{lo}, {hi}] over valid pixels is not finite")
     codes = np.zeros(arr.shape, dtype=np.int64)
     if mask.any():
         if hi > lo:

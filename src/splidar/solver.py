@@ -282,16 +282,25 @@ def _slice_objectives(x, vol, weight, work):
     height, width, slices = x.shape
     np.subtract(x, vol, out=work)
     np.square(work, out=work)
-    quad = 0.5 * work.sum(axis=(0, 1))
+    quad = 0.5 * _slice_sums(work)
     rows = work[: height - 1]
     np.subtract(x[1:], x[:-1], out=rows)
     np.abs(rows, out=rows)
-    tv = rows.sum(axis=(0, 1))
+    tv = _slice_sums(rows)
     cols = work.reshape(-1)[: height * (width - 1) * slices]
     cols = cols.reshape(height, width - 1, slices)
     np.subtract(x[:, 1:], x[:, :-1], out=cols)
     np.abs(cols, out=cols)
-    return quad + weight * (tv + cols.sum(axis=(0, 1)))
+    return quad + weight * (tv + _slice_sums(cols))
+
+
+def _slice_sums(a):
+    """Per time slice sums of a C-contiguous (H, W, T) array: over H along
+    rows of W*T elements, then over W, rather than numpy's one T-wide inner
+    loop per pixel for axis=(0, 1)."""
+    height, width, slices = a.shape
+    columns = a.reshape(height, width * slices).sum(axis=0)
+    return columns.reshape(width, slices).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,26 @@ def test_pgm_round_trip(tmp_path, maxval):
     np.testing.assert_array_equal(back, arr)
 
 
+@pytest.mark.parametrize("sample", [b"-5", b"+5", b"5.0", b"0x5"])
+def test_pgm_ascii_refuses_a_sample_that_is_not_a_non_negative_integer(tmp_path,
+                                                                       sample):
+    # -5 used to read as a sample, which read_map decodes below vmin
+    p = tmp_path / "neg.pgm"
+    p.write_bytes(b"P2\n2 1\n65535\n" + sample + b" 3\n")
+    with pytest.raises(ValueError, match="not a non-negative integer"):
+        io.read_pgm(p)
+
+
+def test_pgm_ascii_refuses_tokens_after_the_raster(tmp_path):
+    p = tmp_path / "extra.pgm"
+    p.write_bytes(b"P2\n2 1\n10\n5 3\n7 8\n")
+    with pytest.raises(ValueError, match="2 tokens after the graymap raster"):
+        io.read_pgm(p)
+    # whitespace after the raster is not a token
+    p.write_bytes(b"P2\n2 1\n10\n5 3\n\n \t\n")
+    assert io.read_pgm(p)[0].tolist() == [[5, 3]]
+
+
 def test_pgm_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError):
         io.write_pgm(tmp_path / "bad.pgm", np.array([[300]]), maxval=255)
@@ -117,6 +137,18 @@ def test_count_cube_rejects_counts_beyond_u32(tmp_path):
     assert not (tmp_path / "over.sph1").exists()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e300])
+def test_float_cube_refuses_values_that_float32_cannot_hold(tmp_path, bad):
+    # NaN used to be written and then refused by load_volume; 1e300 was
+    # written as inf after a RuntimeWarning
+    vol = np.ones((2, 2, 3))
+    vol[1, 0, 2] = bad
+    p = tmp_path / "v.spr1"
+    with pytest.raises(ValueError, match="float32 range"):
+        io.write_cube(p, vol, {"bin_width": 1e-9})
+    assert not p.exists() and not (tmp_path / "v.spr1.json").exists()
+
+
 def test_read_cube_requires_sidecar(tmp_path):
     p = tmp_path / "s.sph1"
     io.write_cube(p, np.zeros((1, 1, 2), dtype=np.int64), None)
@@ -159,6 +191,23 @@ def test_map_constant_span(tmp_path):
     back, back_valid, _ = io.read_map(p)
     assert back_valid.all()
     np.testing.assert_array_equal(back, values)
+
+
+@pytest.mark.parametrize("values", [
+    [[0.5, float("nan")]], [[0.5, float("inf")]], [[0.5, float("-inf")]],
+    [[-1e308, 1e308]],
+])
+def test_map_refuses_a_span_that_is_not_finite(tmp_path, values):
+    # a NaN at a valid pixel used to write "vmin": NaN, which read_map refuses
+    p = tmp_path / "m.pgm"
+    with pytest.raises(ValueError, match="not finite"):
+        io.write_map(p, np.array(values), np.ones((1, 2), dtype=bool),
+                     kind="depth", units="m")
+    assert not p.exists() and not (tmp_path / "m.pgm.json").exists()
+    # at an invalid pixel the value is never read
+    io.write_map(p, np.array(values), np.array([[True, False]]),
+                 kind="depth", units="m")
+    assert io.read_map(p)[0].tolist() == [[values[0][0], 0.0]]
 
 
 def test_sha256_file(tmp_path):

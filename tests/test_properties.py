@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -23,7 +23,12 @@ from splidar.forward import (
     make_kernel,
 )
 from splidar.scene import SPEED_OF_LIGHT
-from splidar.solver import _PROX_GAP_CHECK, SolverConfig, prox_tv_nonneg
+from splidar.solver import (
+    _PROX_GAP_CHECK,
+    SolverConfig,
+    _slice_objectives,
+    prox_tv_nonneg,
+)
 
 from test_forward import random_separable_kernel
 
@@ -57,6 +62,30 @@ def _slice_objective(x, v, weight):
         np.diff(x, axis=1)
     ).sum(axis=(0, 1))
     return 0.5 * ((x - v) ** 2).sum(axis=(0, 1)) + weight * tv
+
+
+@given(
+    st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    seeds,
+    st.floats(0.0, 5.0),
+)
+@example((1, 5, 4), 0, 0.5)  # no row differences
+@example((6, 1, 4), 0, 0.5)  # no column differences
+@example((6, 5, 1), 0, 0.5)
+@example((1, 1, 1), 0, 0.5)
+@example((120, 128, 7), 0, 0.05)  # the gated chart's shape
+def test_slice_objectives_match_a_loop_over_time_slices(shape, seed, weight):
+    rng = np.random.default_rng(seed)
+    x = np.maximum(rng.standard_normal(shape), 0.0)
+    v = rng.standard_normal(shape)
+    expected = []
+    for t in range(shape[2]):
+        xt, vt = x[:, :, t], v[:, :, t]
+        tv = np.abs(xt[1:] - xt[:-1]).sum() + np.abs(xt[:, 1:] - xt[:, :-1]).sum()
+        expected.append(0.5 * np.square(xt - vt).sum() + weight * tv)
+    got = _slice_objectives(x, v, weight, np.empty(shape))
+    assert got.shape == (shape[2],)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 def _starting_dual(rng, shape, kind):
