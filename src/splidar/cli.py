@@ -209,7 +209,7 @@ def _cmd_experiment(args):
         raise _UsageError(f"spec is not valid ASCII JSON: {exc}")
     try:
         spec = ExperimentSpec.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"invalid experiment spec: {exc}")
     rows = run_experiment(spec, args.out)
     failures = [r for r in rows if r["status"] != "ok"]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from .baselines import pixelwise_ml, reconstruct_no_scan
-from .forward import ScanConfig, make_kernel, save_cube, simulate
+from .forward import SCAN_FIELDS, ScanConfig, make_kernel, save_cube, simulate
 from .scene import (
     SPEED_OF_LIGHT,
     RDVolume,
@@ -27,6 +27,7 @@ from .scene import (
     make_resolution_chart,
 )
 from .solver import (
+    SOLVER_FIELDS,
     SolverConfig,
     _peak_maps,
     extract_depth_reflectivity,
@@ -50,8 +51,11 @@ RESULTS_COLUMNS = (
 )
 
 KNOWN_METHODS = ("deconv3d", "ml", "noscan")
-SPEC_KEYS = {"scene", "scan", "ppp", "sbr", "seeds", "methods", "solver"}
-SCENE_KEYS = {"kind", "path", "d_fg", "d_bg", "r_bg"}
+# a spec's required keys and their kinds (io.check_fields)
+_SPEC_FIELDS = {"scene": "object", "ppp": ["number"], "sbr": "number",
+                "seeds": ["integer"], "methods": ["string"]}
+# a chart scene's optional keys: make_resolution_chart's arguments
+_CHART_FIELDS = dict.fromkeys(("d_fg", "d_bg", "r_bg"), "number")
 
 
 def rmse(estimate, truth, mask):
@@ -130,30 +134,29 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method: {m}")
-        for key, value in self.chart_args.items():
-            if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and np.isfinite(value)
-            ):
-                raise ValueError(f"scene {key} must be a finite number: {value!r}")
+        io.check_fields(self.chart_args, "scene", {}, _CHART_FIELDS)
 
     @classmethod
     def from_dict(cls, raw):
-        """Parse a spec; an unknown spec or scene key is a ValueError."""
-        _reject_unknown(raw, SPEC_KEYS, "spec")
-        scene = raw.get("scene", {})
-        _reject_unknown(scene, SCENE_KEYS, "scene")
-        kind = scene.get("kind")
-        chart_args = {k: v for k, v in scene.items() if k not in ("kind", "path")}
+        """Parse a spec; an unknown, missing or mistyped key is a ValueError,
+        and so is a value that the spec or its configs refuse."""
+        raw = io.check_fields(raw, "spec", _SPEC_FIELDS,
+                              {"scan": "object", "solver": "object"})
+        scene = io.check_fields(raw["scene"], "scene", {"kind": "string"},
+                                {"path": "string", **_CHART_FIELDS})
+        scan = io.check_fields(raw.get("scan", {}), "spec scan", {}, SCAN_FIELDS)
+        solver = io.check_fields(raw.get("solver", {}), "spec solver", {},
+                                 SOLVER_FIELDS)
         return cls(
-            scene_kind=kind,
-            scene_path=scene.get("path"),
-            chart_args=chart_args,
-            scan=ScanConfig(**raw.get("scan", {})),
+            scene_kind=scene.pop("kind"),
+            scene_path=scene.pop("path", None),
+            chart_args=scene,
+            scan=ScanConfig(**scan),
             ppp=raw["ppp"],
             sbr=raw["sbr"],
             seeds=raw["seeds"],
             methods=raw["methods"],
-            solver=SolverConfig(**raw.get("solver", {})),
+            solver=SolverConfig(**solver),
         )
 
     def to_dict(self):
@@ -170,12 +173,6 @@ class ExperimentSpec:
             "methods": list(self.methods),
             "solver": self.solver.to_dict(),
         }
-
-
-def _reject_unknown(raw, known, what):
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 def _load_spec_scene(spec):

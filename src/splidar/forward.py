@@ -11,7 +11,7 @@ The temporal response g_t models total system jitter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
@@ -71,15 +71,13 @@ class ScanConfig:
         return 2 * self.n
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "jitter_fwhm": float(self.jitter_fwhm),
-            "bin_width": float(self.bin_width),
-            "n_bins": self.n_bins,
-            "rep_period": float(self.rep_period),
-            "sbr_window": float(self.sbr_window),
-            "t0": float(self.t0),
-        }
+        return {k: (int if kind == "integer" else float)(getattr(self, k))
+                for k, kind in SCAN_FIELDS.items()}
+
+
+# ScanConfig's JSON keys and kinds (io.check_fields): all in a cube sidecar
+SCAN_FIELDS = {f.name: "integer" if f.type == "int" else "number"
+               for f in fields(ScanConfig)}
 
 
 @dataclass(frozen=True)
@@ -311,13 +309,12 @@ def save_cube(cube, path):
 
 
 def load_cube(path):
+    """Inverse of save_cube; a refusal is a ValueError naming the file."""
     data, meta = io.read_cube(path)
-    config = ScanConfig(**meta["config"])
-    alpha = meta.get("alpha")
-    return HistogramCube(
-        counts=data,
-        config=config,
-        background_per_bin=float(meta["background_per_bin"]),
-        rng_seed=int(meta["seed"]),
-        alpha=None if alpha is None else float(alpha),
-    )
+    meta = io.check_fields(meta, f"{path}.json", {
+        "config": "object", "background_per_bin": "number", "seed": "integer",
+        "alpha": "number or null"})
+    config = io.check_fields(meta["config"], f"{path}.json config", SCAN_FIELDS)
+    with io.naming(path):
+        return HistogramCube(data, ScanConfig(**config), meta["background_per_bin"],
+                             meta["seed"], meta["alpha"])

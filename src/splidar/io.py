@@ -2,13 +2,16 @@
 cubes, and quantized 16-bit map export.
 
 Everything here is a pure function from arrays/paths to arrays/bytes. No domain
-types; the domain modules wrap these with their own metadata handling. All
-multi-byte binary cube data is little-endian; graymaps follow the netpbm
-convention (16-bit samples big-endian).
+types; the domain modules check their JSON documents (sidecars, a scene's
+meta.json, an experiment spec) through check_fields, the one place that says
+which JSON values are acceptable. All multi-byte binary cube data is
+little-endian; graymaps follow the netpbm convention (16-bit samples
+big-endian).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -50,8 +53,9 @@ def write_pgm(path, values, maxval=65535):
     Path(path).write_bytes(header + payload)
 
 
-def _read_pnm_tokens(buf, count):
-    """Pull `count` whitespace-separated ASCII tokens, skipping # comments.
+def _read_pnm_tokens(buf, count, what):
+    """Pull `count` whitespace-separated ASCII tokens, skipping # comments;
+    running out is a "truncated {what}".
 
     Returns (tokens, offset of the byte after the single whitespace char
     that terminates the last token).
@@ -70,7 +74,7 @@ def _read_pnm_tokens(buf, count):
         while i < n and not buf[i : i + 1].isspace():
             i += 1
         if start == i:
-            raise ValueError("truncated graymap header")
+            raise ValueError(f"truncated {what}")
         tokens.append(buf[start:i])
         if len(tokens) < count:
             continue
@@ -81,33 +85,36 @@ def _read_pnm_tokens(buf, count):
 def read_pgm(path):
     """Read P2 or P5 graymap. Returns (values int array, maxval)."""
     buf = Path(path).read_bytes()
-    if buf[:2] not in (b"P2", b"P5"):
-        raise ValueError(f"not a graymap (magic {buf[:2]!r}): {path}")
-    binary = buf[:2] == b"P5"
-    (magic, w_tok, h_tok, mv_tok), offset = _read_pnm_tokens(buf, 4)
-    w, h, maxval = int(w_tok), int(h_tok), int(mv_tok)
-    if w <= 0 or h <= 0 or not (1 <= maxval <= 65535):
-        raise ValueError(f"bad graymap dimensions {w}x{h} maxval {maxval}")
-    if binary:
-        dtype = np.uint8 if maxval <= 255 else np.dtype(">u2")
-        need = h * w * dtype.itemsize if maxval > 255 else h * w
-        raster = buf[offset:]
-        if len(raster) < need:
-            raise ValueError(f"truncated graymap raster: {path}")
-        if len(raster) > need:
-            raise ValueError(f"{len(raster) - need} bytes after the graymap raster: {path}")
-        values = np.frombuffer(raster, dtype=dtype).reshape(h, w)
-    else:
-        tokens, end = _read_pnm_tokens(buf[offset:], h * w)
-        if not all(t.isdigit() for t in tokens):
-            raise ValueError(f"graymap sample is not a non-negative integer: {path}")
-        extra = len(buf[offset + end :].split())
-        if extra:
-            raise ValueError(f"{extra} tokens after the graymap raster: {path}")
-        values = np.array([int(t) for t in tokens], dtype=np.int64).reshape(h, w)
-    values = values.astype(np.int64)
-    if values.max(initial=0) > maxval:
-        raise ValueError("graymap sample exceeds stated maxval")
+    with naming(path):
+        if buf[:2] not in (b"P2", b"P5"):
+            raise ValueError(f"not a graymap (magic {buf[:2]!r})")
+        binary = buf[:2] == b"P5"
+        (magic, w_tok, h_tok, mv_tok), offset = _read_pnm_tokens(
+            buf, 4, "graymap header"
+        )
+        w, h, maxval = int(w_tok), int(h_tok), int(mv_tok)
+        if w <= 0 or h <= 0 or not (1 <= maxval <= 65535):
+            raise ValueError(f"bad graymap dimensions {w}x{h} maxval {maxval}")
+        if binary:
+            dtype = np.uint8 if maxval <= 255 else np.dtype(">u2")
+            need = h * w * dtype.itemsize if maxval > 255 else h * w
+            raster = buf[offset:]
+            if len(raster) < need:
+                raise ValueError("truncated graymap raster")
+            if len(raster) > need:
+                raise ValueError(f"{len(raster) - need} bytes after the graymap raster")
+            values = np.frombuffer(raster, dtype=dtype).reshape(h, w)
+        else:
+            tokens, end = _read_pnm_tokens(buf[offset:], h * w, "graymap raster")
+            if not all(t.isdigit() for t in tokens):
+                raise ValueError("graymap sample is not a non-negative integer")
+            extra = len(buf[offset + end :].split())
+            if extra:
+                raise ValueError(f"{extra} tokens after the graymap raster")
+            values = np.array([int(t) for t in tokens], dtype=np.int64).reshape(h, w)
+        values = values.astype(np.int64)
+        if values.max(initial=0) > maxval:
+            raise ValueError("graymap sample exceeds stated maxval")
     return values, maxval
 
 
@@ -139,20 +146,23 @@ def write_pfm(path, values):
 def read_pfm(path):
     """Read grayscale PFM. Returns a 2D float32 array, top row first."""
     buf = Path(path).read_bytes()
-    if buf[:2] != b"Pf":
-        raise ValueError(f"not a grayscale float map (magic {buf[:2]!r}): {path}")
-    (magic, w_tok, h_tok, scale_tok), offset = _read_pnm_tokens(buf, 4)
-    w, h = int(w_tok), int(h_tok)
-    scale = float(scale_tok)
-    if w <= 0 or h <= 0 or scale == 0:
-        raise ValueError(f"bad float map header: {path}")
-    dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
-    need = h * w * 4
-    raster = buf[offset:]
-    if len(raster) < need:
-        raise ValueError(f"truncated float map raster: {path}")
-    if len(raster) > need:
-        raise ValueError(f"{len(raster) - need} bytes after the float map raster: {path}")
+    with naming(path):
+        if buf[:2] != b"Pf":
+            raise ValueError(f"not a grayscale float map (magic {buf[:2]!r})")
+        (magic, w_tok, h_tok, scale_tok), offset = _read_pnm_tokens(
+            buf, 4, "float map header"
+        )
+        w, h = int(w_tok), int(h_tok)
+        scale = float(scale_tok)
+        if w <= 0 or h <= 0 or scale == 0:
+            raise ValueError("bad float map header")
+        dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
+        need = h * w * 4
+        raster = buf[offset:]
+        if len(raster) < need:
+            raise ValueError("truncated float map raster")
+        if len(raster) > need:
+            raise ValueError(f"{len(raster) - need} bytes after the float map raster")
     values = np.frombuffer(raster, dtype=dtype).reshape(h, w)[::-1]
     return np.ascontiguousarray(values, dtype=np.float32)
 
@@ -193,7 +203,7 @@ def write_cube(path, data, meta):
 def read_cube(path):
     """Read an SPH1/SPR1 cube and its required sidecar. Returns (data, meta).
 
-    SPH1 yields int64 counts, SPR1 float64 values.
+    SPH1 yields int64 counts, SPR1 float64 values, which must be finite.
     """
     buf = Path(path).read_bytes()
     if len(buf) < _CUBE_HEADER.size:
@@ -209,6 +219,8 @@ def read_cube(path):
     if len(raster) > need:
         raise ValueError(f"{len(raster) - need} bytes after the cube raster: {path}")
     data = np.frombuffer(raster, dtype=dtype).reshape(h, w, t)
+    if magic == CUBE_MAGIC_FLOAT and not np.isfinite(data).all():
+        raise ValueError(f"non-finite volume values: {path}")
     out_dtype = np.int64 if magic == CUBE_MAGIC_COUNTS else np.float64
     meta = read_json_sidecar(path)
     return data.astype(out_dtype), meta
@@ -254,20 +266,21 @@ def write_map(path, values, valid, kind, units):
 def read_map(path):
     """Inverse of write_map. Returns (values, valid mask, meta dict).
 
-    The graymap must use write_map's maxval, and the sidecar's span must be
-    finite with vmin <= vmax; anything else is a ValueError, since its codes
-    would decode to wrong or non-finite values.
+    The graymap must use write_map's maxval, and the sidecar must hold
+    write_map's keys (check_fields) with finite vmin <= vmax; anything else
+    is a ValueError, since its codes would decode to wrong or non-finite
+    values.
     """
     codes, maxval = read_pgm(path)
     if maxval != MAP_LEVELS:
         raise ValueError(f"map graymap has maxval {maxval}, expected {MAP_LEVELS}: {path}")
-    meta = read_json_sidecar(path)
-    if "vmin" not in meta or "vmax" not in meta:
-        raise ValueError(f"map sidecar incomplete: {path}.json")
+    meta = check_fields(read_json_sidecar(path), f"{path}.json", {
+        "kind": "string", "units": "string", "vmin": "number", "vmax": "number",
+        "invalid": "integer"})
     valid = codes != MAP_INVALID
-    lo, hi = float(meta["vmin"]), float(meta["vmax"])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"map sidecar span [{lo}, {hi}] not finite and ordered: {path}.json")
+    lo, hi = meta["vmin"], meta["vmax"]
+    if not lo <= hi:
+        raise ValueError(f"map sidecar span [{lo}, {hi}] not ordered: {path}.json")
     values = np.zeros(codes.shape, dtype=np.float64)
     if hi > lo:
         values[valid] = lo + (codes[valid] - 1) / (MAP_LEVELS - 1) * (hi - lo)
@@ -288,7 +301,10 @@ def write_json(path, obj):
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text(encoding="ascii"))
+    """The JSON value in an ASCII file; text that is not ASCII JSON is a
+    ValueError naming the file."""
+    with naming(path):
+        return json.loads(Path(path).read_text(encoding="ascii"))
 
 
 def write_json_sidecar(path, meta):
@@ -297,12 +313,74 @@ def write_json_sidecar(path, meta):
 
 
 def read_json_sidecar(path):
-    """The JSON object next to path; a missing or null sidecar is an error."""
+    """The JSON object next to path; a missing sidecar, or one that is not
+    an object, is an error."""
     sidecar = Path(str(path) + ".json")
     meta = read_json(sidecar) if sidecar.exists() else None
-    if meta is None:
-        raise ValueError(f"sidecar missing or null: {sidecar}")
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar missing or not a JSON object: {sidecar}")
     return meta
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Append path to any ValueError raised in the block, so that every
+    refusal of a reader names its file once."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{exc}: {path}") from None
+
+
+def _is_number(value):
+    """A finite int or float that a float can hold; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+_KINDS = {  # kind: (test, what the value must be)
+    "number": (_is_number, "a finite number"),
+    "integer": (lambda v: _is_number(v) and float(v).is_integer(), "an integer"),
+    "number or null": (lambda v: v is None or _is_number(v), "a finite number or null"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "object": (lambda v: isinstance(v, dict), "a JSON object"),
+}
+
+
+def check_fields(obj, where, required, optional=None):
+    """obj, a JSON object, with its values checked against their kinds.
+
+    required and optional map each allowed key to its kind: "number" (a
+    finite int or float, not a bool), "integer" (a number with an integral
+    value, returned as an int), "number or null", "string", "object", or
+    [kind] for a list of values of that kind. A value that is not an
+    object, a key outside required and optional, a missing required key or
+    a value of another kind is a ValueError naming where and the key.
+    Returns a new dict; obj is not changed.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {obj!r}")
+    fields = {**required, **(optional or {})}
+    for problem, keys in (("unknown", set(obj) - set(fields)),
+                          ("missing", set(required) - set(obj))):
+        if keys:
+            raise ValueError(f"{where}: {problem} keys {', '.join(sorted(keys))}")
+    return {key: _checked(value, fields[key], where, key) for key, value in obj.items()}
+
+
+def _checked(value, kind, where, key):
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: {key} must be a list, got {value!r}")
+        return [_checked(v, kind[0], where, f"{key}[{i}]") for i, v in enumerate(value)]
+    test, what = _KINDS[kind]
+    if not test(value):
+        raise ValueError(f"{where}: {key} must be {what}, got {value!r}")
+    return int(value) if kind == "integer" else value
 
 
 def sha256_file(path):

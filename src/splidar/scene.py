@@ -215,8 +215,8 @@ def _read_float_depth(path):
     """A float depth map in meters as float64, with its min and max."""
     values = io.read_pfm(path)
     lo, hi = float(values.min()), float(values.max())
-    if lo < 0:
-        raise ValueError(f"negative float depth: {path}")
+    if not (lo >= 0 and hi < np.inf):  # NaN fails both, before a cast can signal it
+        raise ValueError(f"float depth must be finite and non-negative: {path}")
     return values.astype(np.float64), lo, hi
 
 
@@ -266,26 +266,26 @@ def load_scene_dir(scene_dir):
     meta_path = d / "meta.json"
     if not meta_path.exists():
         raise ValueError(f"not a scene directory (no meta.json): {scene_dir}")
-    meta = io.read_json(meta_path)
-    unknown = sorted(set(meta) - {"height", "width", "d_min", "d_max"})
-    if unknown:
-        raise ValueError(f"{meta_path}: a scene holds no {', '.join(unknown)}")
+    meta = io.check_fields(io.read_json(meta_path), meta_path, {
+        "height": "integer", "width": "integer", "d_min": "number", "d_max": "number"})
     # depth.pfm holds the depths at float32; meta.json restores the float64
     # ends of their range, and must name the raster's own range to do so.
     # Ends that float32 holds exactly leave the raster as it is: the affine
     # map is then the identity, but not in float64 arithmetic.
     depth, lo, hi = _read_float_depth(d / "depth.pfm")
     d_min, d_max = meta["d_min"], meta["d_max"]
-    if (lo, hi) != (np.float32(d_min), np.float32(d_max)):
+    with np.errstate(over="ignore"):  # beyond float32 is inf, never a raster's end
+        ends = (np.float32(d_min), np.float32(d_max))
+    if (lo, hi) != ends:
         raise ValueError(
             f"{meta_path} says depths {d_min}..{d_max} m, "
             f"depth.pfm holds {lo}..{hi} m"
         )
     if (d_min, d_max) != (lo, hi):
         depth = _stretch_depth(depth, lo, hi, d_min, d_max)
-    scene = Scene(
-        reflectivity=_load_reflectivity(d / "reflectivity.pgm"), depth=depth
-    )
+    reflectivity = _load_reflectivity(d / "reflectivity.pgm")
+    with io.naming(d):
+        scene = Scene(reflectivity=reflectivity, depth=depth)
     if (meta["height"], meta["width"]) != (scene.height, scene.width):
         raise ValueError(
             f"{meta_path} says {meta['height']}x{meta['width']}, "

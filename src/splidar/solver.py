@@ -22,7 +22,7 @@ Salzo, Baldassarre and Verri, 2013); otherwise it runs to its cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,11 +57,12 @@ class SolverConfig:
         object.__setattr__(self, "max_iters", int(self.max_iters))
 
     def to_dict(self):
-        return {
-            "beta": float(self.beta),
-            "max_iters": self.max_iters,
-            "rel_tol": float(self.rel_tol),
-        }
+        return {k: (int if kind == "integer" else float)(getattr(self, k))
+                for k, kind in SOLVER_FIELDS.items()}
+
+
+SOLVER_FIELDS = {f.name: "integer" if f.type == "int" else "number"
+                 for f in fields(SolverConfig)}
 
 
 @dataclass(frozen=True)
@@ -473,7 +474,9 @@ def save_volume(rd, path):
 
 
 def load_volume(path):
+    """Inverse of save_volume; a refusal is a ValueError naming the file."""
     data, meta = io.read_cube(path)
-    return RDVolume(
-        data=data, bin_width=float(meta["bin_width"]), t0=float(meta.get("t0", 0.0))
-    )
+    meta = io.check_fields(meta, f"{path}.json",
+                           {"bin_width": "number", "t0": "number"})
+    with io.naming(path):
+        return RDVolume(data=data, **meta)

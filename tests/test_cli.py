@@ -295,7 +295,7 @@ def test_render_refuses_a_map_whose_sidecar_span_is_nan(tmp_path, capsys):
     write_json_sidecar(tmp_path / "m.pgm", {**meta, "vmin": float("nan")})
     out = tmp_path / "m.ppm"
     assert main(["render", str(tmp_path / "m.pgm"), "-o", str(out)]) == 1
-    assert "span" in capsys.readouterr().err
+    assert "m.pgm.json: vmin must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -417,6 +417,25 @@ def test_experiment_bad_spec_is_usage_error(tmp_path, capsys):
     assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "seeds", [1.5]), (None, "seeds", ["3"]), (None, "seeds", [True]),
+    (None, "ppp", ["1"]), (None, "ppp", [True]), (None, "sbr", True),
+    ("solver", "beta", True), ("scan", "n", True),
+])
+def test_experiment_refuses_a_spec_value_of_the_wrong_kind(tmp_path, capsys, section,
+                                                           key, value):
+    # these used to run: seeds [1.5] as seed 1, ppp ["1"] as 1.0, beta true
+    # as 1.0, and sbr true was stored as a bool
+    raw = experiment_spec_dict(tmp_path)
+    (raw if section is None else raw[section])[key] = value
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main(["experiment", str(spec_path), "-o", str(out)]) == 2
+    assert not out.exists()
+    assert f" {key}" in capsys.readouterr().err
 
 
 def test_experiment_without_scene_leaves_no_output(tmp_path, capsys):

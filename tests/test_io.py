@@ -1,9 +1,18 @@
-"""File format round-trips and hand-decoded reference bytes."""
+"""File format round-trips, hand-decoded reference bytes, and the refusals
+of damaged files and mistyped JSON documents."""
+
+import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from splidar import io
+from splidar.forward import HistogramCube, ScanConfig, load_cube, save_cube
+from splidar.scene import RDVolume, Scene, load_scene_dir, save_scene
+from splidar.solver import load_volume, save_volume
 
 
 def test_pgm16_hand_decoded_sample(tmp_path):
@@ -255,5 +264,164 @@ def test_map_rejects_a_span_that_is_not_finite_and_ordered(tmp_path, vmin, vmax)
                  kind="depth", units="m")
     meta = io.read_json(str(p) + ".json")
     io.write_json_sidecar(p, {**meta, "vmin": vmin, "vmax": vmax})
-    with pytest.raises(ValueError, match="span"):
+    # a non-finite end is refused by its key, finite ends out of order by span
+    if np.isfinite([vmin, vmax]).all():
+        message = r"span \[2.0, 1.0\] not ordered"
+    else:
+        message = "vmin" if not np.isfinite(vmin) else "vmax"
+    with pytest.raises(ValueError, match=message) as refused:
         io.read_map(p)
+    assert "m.pgm.json" in str(refused.value)
+
+
+# --- refusals name their file ----------------------------------------------
+
+
+# a P2 raster with too few samples used to be a "truncated graymap header",
+# and these refusals named no file
+@pytest.mark.parametrize("reader, raw, message", [
+    (io.read_pgm, b"P2\n2 2\n10\n1 2 3\n", "truncated graymap raster"),
+    (io.read_pgm, b"P5\n2", "truncated graymap header"),
+    (io.read_pgm, b"P5\nx 1\n255\n\0", "invalid literal"),
+    (io.read_pgm, b"P5\n1 1\n2x5\n\0", "invalid literal"),
+    (io.read_pgm, b"P5\n0 1\n255\n", "bad graymap dimensions"),
+    (io.read_pgm, b"P2\n1 1\n10\n11\n", "sample exceeds stated maxval"),
+    (io.read_pfm, b"Pf\n1", "truncated float map header"),
+    (io.read_pfm, b"Pf\n1 1\nabc\n\0\0\0\0", "could not convert"),
+])
+def test_raster_refusals_name_their_file(tmp_path, reader, raw, message):
+    p = tmp_path / "damaged.img"
+    p.write_bytes(raw)
+    with pytest.raises(ValueError, match=message) as refused:
+        reader(p)
+    assert str(p) in str(refused.value)
+
+
+def test_check_fields_kinds():
+    fields = {"n": "integer", "x": "number", "s": "string", "o": "object",
+              "a": "number or null", "l": ["integer"]}
+    ok = {"n": 3.0, "x": 1, "s": "", "o": {}, "a": None, "l": [1, 2.0]}
+    checked = io.check_fields(ok, "doc", fields)
+    assert checked == {**ok, "n": 3, "l": [1, 2]}
+    assert type(checked["n"]) is int and type(checked["x"]) is int
+    assert ok["n"] == 3.0  # the input is left as it was
+    for key, bad in (("n", 1.5), ("n", True), ("x", False), ("x", float("nan")),
+                     ("x", 10**400), ("x", "1"), ("s", 1), ("o", []), ("a", True),
+                     ("l", 1), ("l", [1, "2"])):
+        with pytest.raises(ValueError, match=rf"^doc: {key}\b"):
+            io.check_fields({**ok, key: bad}, "doc", fields)
+    with pytest.raises(ValueError, match="^doc: missing keys a, n$"):
+        io.check_fields({"x": 1.0}, "doc", {"n": "integer", "a": "number"},
+                        {"x": "number"})
+    with pytest.raises(ValueError, match="^doc: unknown keys y$"):
+        io.check_fields({"y": 1}, "doc", {}, {"x": "number"})
+    with pytest.raises(ValueError, match="^doc: expected a JSON object"):
+        io.check_fields([], "doc", {})
+
+
+# One small valid file of each kind the readers load, its loader and the JSON
+# document that describes it. Names are unusual so that a message naming the
+# file can be told from one that does not.
+READERS = ("cube", "volume", "map", "scene")
+BAD_VALUES = (None, "1", [1.0], {"v": 1}, True, math.inf)
+INTEGER_KEYS = {"seed", "n", "n_bins", "invalid", "height", "width"}
+
+
+def valid_file(kind, directory):
+    """(path, loader, JSON document) for a valid file of kind in directory."""
+    directory = Path(directory)
+    rng = np.random.default_rng(5)
+    if kind == "cube":
+        path = directory / "damaged.sph1"
+        config = ScanConfig(n=1, bin_width=1.6e-9, n_bins=8, sbr_window=12e-9)
+        save_cube(HistogramCube(rng.integers(0, 9, (2, 3, 8)), config, 0.25, 7, 1.5),
+                  path)
+        return path, load_cube, Path(f"{path}.json")
+    if kind == "volume":
+        path = directory / "damaged.spr1"
+        save_volume(RDVolume(rng.random((2, 3, 4)), bin_width=1.6e-9, t0=2e-9), path)
+        return path, load_volume, Path(f"{path}.json")
+    if kind == "map":
+        path = directory / "damaged.pgm"
+        io.write_map(path, rng.random((2, 3)), rng.random((2, 3)) > 0.3,
+                     kind="depth", units="m")
+        return path, io.read_map, Path(f"{path}.json")
+    path = directory / "damaged-scene"
+    depth = np.float64(np.float32(rng.uniform(2.0, 6.0, (3, 4))))
+    save_scene(Scene(reflectivity=np.full((3, 4), 0.5), depth=depth), path)
+    return path, load_scene_dir, path / "meta.json"
+
+
+def key_paths(obj, prefix=()):
+    """The key path of every value in a JSON object, nested objects too."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def damage_key(doc, keys, value=None, drop=False):
+    """Replace, or drop, the value at key path keys in a JSON file."""
+    obj = json.loads(doc.read_text())
+    parent = obj
+    for key in keys[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    doc.write_text(json.dumps(obj))
+
+
+def assert_refused_by_name(load, path, *words):
+    with pytest.raises(ValueError) as refused:
+        load(path)
+    message = str(refused.value)
+    assert path.name in message, message
+    for word in words:  # as a word of the message, its paths left out
+        assert re.search(rf"\b{re.escape(word)}\b",
+                         message.replace(str(path.parent), "")), message
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_a_mistyped_missing_or_unknown_key_is_refused_by_file_and_key(tmp_path,
+                                                                      kind):
+    # null, strings, lists, objects, bools and Infinity used to raise
+    # TypeError, KeyError or OverflowError naming neither; a seed of 1.5, a
+    # string number ("1" as a background or a scene height), an unknown key
+    # and a volume without t0 (read as 0, which shifts every depth) used to
+    # load
+    path, load, doc = valid_file(kind, tmp_path)
+    good = doc.read_text()
+    load(path)
+    for keys in key_paths(json.loads(good)):
+        values = BAD_VALUES + ((1.5,) if keys[-1] in INTEGER_KEYS else ())
+        for value in values:
+            # of the right kind: alpha may be null, kind and units are strings
+            if (keys[-1], value) in (("alpha", None), ("kind", "1"), ("units", "1")):
+                continue
+            damage_key(doc, keys, value)
+            assert_refused_by_name(load, path, keys[-1])
+            doc.write_text(good)
+        damage_key(doc, keys, drop=True)
+        assert_refused_by_name(load, path, "missing", keys[-1])
+        doc.write_text(good)
+    damage_key(doc, ("unused",), 1.0)
+    assert_refused_by_name(load, path, "unknown", "unused")
+    for not_an_object in ([], None, 3, "x"):
+        doc.write_text(json.dumps(not_an_object))
+        assert_refused_by_name(load, path)
+
+
+def test_a_nan_raster_or_a_range_beyond_float32_is_refused_by_name(tmp_path):
+    # a signalling NaN used to raise a RuntimeWarning from the float64 cast,
+    # and a meta.json end beyond float32 one from its float32 cast
+    snan = np.array([0x7F800001], dtype="<u4").tobytes()
+    for kind in ("volume", "scene"):
+        path, load, _ = valid_file(kind, tmp_path)
+        raster = path if kind == "volume" else path / "depth.pfm"
+        raster.write_bytes(raster.read_bytes()[:-4] + snan)
+        assert_refused_by_name(load, path)
+    path, load, doc = valid_file("scene", tmp_path / "range")
+    damage_key(doc, ("d_max",), 4e45)
+    assert_refused_by_name(load, path)

@@ -3,12 +3,13 @@ gate's effect on the ml estimator and file round trips, each on shapes and
 values drawn by Hypothesis (profile in conftest.py: derandomized, no example
 database)."""
 
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -31,6 +32,7 @@ from splidar.solver import (
 )
 
 from test_forward import random_separable_kernel
+from test_io import BAD_VALUES, READERS, damage_key, key_paths, valid_file
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -387,3 +389,32 @@ def test_cube_round_trip_is_exact(data):
     assert back.dtype == (np.int64 if data.dtype == np.uint32 else np.float64)
     np.testing.assert_array_equal(back, data)
     assert back_meta == meta
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(READERS),
+       st.sampled_from(("byte", "truncation", "value", "dropped key")), st.data())
+def test_a_damaged_file_loads_or_is_refused_by_name(kind, damage, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, load, doc = valid_file(kind, tmp)
+        if damage in ("byte", "truncation"):  # of any file, sidecars included
+            target = data.draw(st.sampled_from(
+                sorted(p for p in Path(tmp).rglob("*") if p.is_file())))
+            raw = bytearray(target.read_bytes())
+            at = data.draw(st.integers(0, len(raw) - 1))
+            if damage == "byte":
+                raw[at] = data.draw(st.integers(0, 255))
+            else:
+                del raw[at:]
+            target.write_bytes(raw)
+        else:
+            obj = json.loads(doc.read_text())
+            keys = data.draw(st.sampled_from(list(key_paths(obj))))
+            if damage == "value":
+                damage_key(doc, keys, data.draw(st.sampled_from(BAD_VALUES)))
+            else:
+                damage_key(doc, keys, drop=True)
+        try:
+            load(path)
+        except ValueError as exc:
+            assert path.name in str(exc), str(exc)
