@@ -3,6 +3,7 @@ byte-level determinism of the artifacts."""
 
 import filecmp
 import json
+import re
 
 import numpy as np
 import pytest
@@ -435,7 +436,7 @@ def test_experiment_refuses_a_spec_value_of_the_wrong_kind(tmp_path, capsys, sec
     out = tmp_path / "o"
     assert main(["experiment", str(spec_path), "-o", str(out)]) == 2
     assert not out.exists()
-    assert f" {key}" in capsys.readouterr().err
+    assert re.search(rf"\b{key}(\[0\])? must be", capsys.readouterr().err)
 
 
 def test_experiment_without_scene_leaves_no_output(tmp_path, capsys):
