@@ -51,9 +51,11 @@ RESULTS_COLUMNS = (
 )
 
 KNOWN_METHODS = ("deconv3d", "ml", "noscan")
-# a spec's required keys and their kinds (io.check_fields)
-_SPEC_FIELDS = {"scene": "object", "ppp": ["number"], "sbr": "number",
-                "seeds": ["integer"], "methods": ["string"]}
+# the method grid's keys and kinds (io.check_fields), in a spec's JSON and in
+# ExperimentSpec; a spec also requires its scene
+_GRID_FIELDS = {"ppp": ["number"], "sbr": "number", "seeds": ["integer"],
+                "methods": ["string"]}
+_SPEC_FIELDS = {"scene": "object", **_GRID_FIELDS}
 # a chart scene's optional keys: make_resolution_chart's arguments
 _CHART_FIELDS = dict.fromkeys(("d_fg", "d_bg", "r_bg"), "number")
 
@@ -120,9 +122,12 @@ class ExperimentSpec:
             raise ValueError(f"scene kind 'dir' takes no chart keys: {keys}")
         if self.scene_kind == "chart" and self.scene_path is not None:
             raise ValueError("scene kind 'chart' takes no path")
-        object.__setattr__(self, "ppp", tuple(float(p) for p in self.ppp))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        grid = io.check_fields(
+            {"ppp": list(self.ppp), "sbr": self.sbr, "seeds": list(self.seeds),
+             "methods": list(self.methods)}, "spec", _GRID_FIELDS)
+        object.__setattr__(self, "ppp", tuple(float(p) for p in grid["ppp"]))
+        object.__setattr__(self, "seeds", tuple(grid["seeds"]))
+        object.__setattr__(self, "methods", tuple(grid["methods"]))
         if not self.ppp or any(not 0 < p < math.inf for p in self.ppp):
             raise ValueError("ppp values must be positive and finite")
         if not 0 < self.sbr < math.inf:

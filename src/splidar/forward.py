@@ -2,6 +2,10 @@
 flux calibration to target photon budgets, and Poisson histogram sampling for
 sub-pixel-scanned acquisition.
 
+The convolution is the Kronecker product of three band (Toeplitz) matrices,
+one per axis, applied as one blocked matrix product per axis (Hansen, Nagy
+and O'Leary, Deblurring Images, SIAM 2006, ch. 4).
+
 The scan grid IS the fine scene grid: each output pixel is one scan position,
 and adjacent positions sit 1/(2n) of the detector footprint apart, so the
 detector response g_xy (FWHM = 2n fine pixels) couples neighboring pixels.
@@ -10,17 +14,17 @@ The temporal response g_t models total system jitter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import ndimage
 
 from . import io
 from .scene import _as_volume, scene_to_rd
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-_CONV_BLOCK_VOXELS = 1 << 15  # voxels per block of rows in the convolution
+_BAND_BLOCK = 16  # outputs per block of each band-matrix product
 
 
 def rayleigh_resolution(wavelength, aperture):
@@ -49,14 +53,10 @@ class ScanConfig:
     t0: float = 0.0
 
     def __post_init__(self):
+        io.check_attributes(self, "scan config", SCAN_FIELDS)
         for name in ("n", "n_bins"):
-            value = getattr(self, name)
-            if not (value >= 1 and float(value).is_integer()):
-                raise ValueError(f"{name} must be an integer >= 1, got {value}")
-            object.__setattr__(self, name, int(value))
-        for name in ("jitter_fwhm", "bin_width", "rep_period", "sbr_window", "t0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.bin_width <= 0:
             raise ValueError("bin_width must be positive")
         if self.jitter_fwhm < 0:
@@ -87,9 +87,9 @@ class Kernel:
 
     Each factor is a finite, non-negative, odd-length 1D array that sums to
     1 and equals its own reverse exactly, so the 3D kernel has unit mass and
-    is centrally symmetric. Exact symmetry is what the column pass relies
-    on: it sums (x[i-s] + x[i+s]) * w_s, ndimage.convolve1d's form for a
-    symmetric filter, so the convolution has ndimage's bytes.
+    is centrally symmetric. Exact symmetry makes each factor's band matrix
+    symmetric to the bit, so the adjoint convolution (a correlation) is the
+    same three products as the convolution, with the same bytes.
     """
 
     xy: np.ndarray
@@ -146,15 +146,12 @@ def make_kernel(config):
 
 def _separable_passes(kernel, volume):
     """Zero-padded "same" convolution of an (H, W, T) array with the kernel:
-    one 1D pass per axis (column, row, time), run over blocks of output
-    rows small enough to stay in cache between the three passes.
+    one product per axis (column, row, time) by that factor's band matrix.
 
-    The column pass adds shifted contiguous slices of one zero-padded copy
-    in ndimage's form for a symmetric filter, x*w0 + sum over s = r..1 of
-    (x[i-s] + x[i+s])*w_s, so its bytes, signed zeros included, are those
-    of ndimage.convolve1d (Kernel enforces the exact symmetry that form
-    needs). The row and time passes (strides T and 1 within
-    a block) are ndimage.convolve1d into preallocated block buffers."""
+    Each product runs over blocks of _BAND_BLOCK outputs and multiplies only
+    the inputs within the factor's radius of the block, so its cost is
+    linear in the axis length. Kernel makes every factor equal its reverse,
+    so each band matrix is symmetric and B[i, o] is B[o, i]."""
     vol = _as_volume(volume)
     if vol.ndim != 3:
         raise ValueError(f"expected 3D volume, got {vol.shape}")
@@ -162,26 +159,36 @@ def _separable_passes(kernel, volume):
     if side > vol.shape[0] or side > vol.shape[1] or m > vol.shape[2]:
         raise ValueError(f"kernel {side}x{side}x{m} larger than volume {vol.shape}")
     height, width, slices = vol.shape
-    r, xy = kernel.n, kernel.xy
-    padded = np.zeros((height + 2 * r, width, slices))
-    padded[r : r + height] = vol
-    out = np.empty(vol.shape)
-    rows = max(1, min(height, _CONV_BLOCK_VOXELS // (width * slices)))
-    acc_buf = np.empty((rows, width, slices))
-    tmp_buf = np.empty((rows, width, slices))
-    for i0 in range(0, height, rows):
-        i1 = min(i0 + rows, height)
-        acc, tmp = acc_buf[: i1 - i0], tmp_buf[: i1 - i0]
-        np.multiply(padded[i0 + r : i1 + r], xy[r], out=acc)
-        for s in range(r, 0, -1):
-            np.add(padded[i0 + r - s : i1 + r - s], padded[i0 + r + s : i1 + r + s],
-                   out=tmp)
-            tmp *= xy[r + s]
-            acc += tmp
-        ndimage.convolve1d(acc, xy, axis=1, mode="constant", output=tmp)
-        ndimage.convolve1d(tmp, kernel.temporal, axis=2, mode="constant",
-                           output=out[i0:i1])
+    out, tmp = np.empty(vol.shape), np.empty(vol.shape)
+    xy = kernel.xy.tobytes()
+    rows_in, rows_out = vol.reshape(height, -1), out.reshape(height, -1)
+    for o, i, band in _band_blocks(xy, height):
+        np.matmul(band, rows_in[i], out=rows_out[o])
+    for o, i, band in _band_blocks(xy, width):
+        np.matmul(band, out[:, i], out=tmp[:, o])
+    bins_in, bins_out = tmp.reshape(-1, slices), out.reshape(-1, slices)
+    for o, i, band in _band_blocks(kernel.temporal.tobytes(), slices):
+        np.matmul(bins_in[:, i], band.T, out=bins_out[:, o])
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _band_blocks(taps, length):
+    """The band matrix B[o, i] = w[i - o + r] of the factor whose float64
+    bytes are taps, for an axis of length samples, as (outputs, inputs,
+    dense block) for each block of _BAND_BLOCK outputs; inputs reach r
+    samples past the block on each side, clipped to the axis."""
+    w = np.frombuffer(taps)
+    r = w.size // 2
+    blocks = []
+    for o0 in range(0, length, _BAND_BLOCK):
+        o1 = min(o0 + _BAND_BLOCK, length)
+        i0, i1 = max(0, o0 - r), min(length, o1 + r)
+        d = np.arange(i0, i1) - np.arange(o0, o1)[:, None] + r
+        band = np.where(abs(d - r) <= r, w[d.clip(0, 2 * r)], 0.0)
+        band.setflags(write=False)  # every caller shares the cached blocks
+        blocks.append((slice(o0, o1), slice(i0, i1), band))
+    return tuple(blocks)
 
 
 def convolve3d(kernel, volume, background_per_bin=0.0):

@@ -267,9 +267,9 @@ def read_map(path):
     """Inverse of write_map. Returns (values, valid mask, meta dict).
 
     The graymap must use write_map's maxval, and the sidecar must hold
-    write_map's keys (check_fields) with finite vmin <= vmax; anything else
-    is a ValueError, since its codes would decode to wrong or non-finite
-    values.
+    write_map's keys (check_fields) with finite vmin <= vmax whose
+    difference is finite; anything else is a ValueError, since its codes
+    would decode to wrong or non-finite values.
     """
     codes, maxval = read_pgm(path)
     if maxval != MAP_LEVELS:
@@ -281,6 +281,8 @@ def read_map(path):
     lo, hi = meta["vmin"], meta["vmax"]
     if not lo <= hi:
         raise ValueError(f"map sidecar span [{lo}, {hi}] not ordered: {path}.json")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"map sidecar span [{lo}, {hi}] overflows: {path}.json")
     values = np.zeros(codes.shape, dtype=np.float64)
     if hi > lo:
         values[valid] = lo + (codes[valid] - 1) / (MAP_LEVELS - 1) * (hi - lo)
@@ -333,8 +335,10 @@ def naming(path):
 
 
 def _is_number(value):
-    """A finite int or float that a float can hold; a bool is not a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite int or float, Python's or numpy's, that a float can hold; a
+    bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                          np.floating)):
         return False
     try:
         return math.isfinite(value)
@@ -370,6 +374,15 @@ def check_fields(obj, where, required, optional=None):
         if keys:
             raise ValueError(f"{where}: {problem} keys {', '.join(sorted(keys))}")
     return {key: _checked(value, fields[key], where, key) for key, value in obj.items()}
+
+
+def check_attributes(obj, where, kinds):
+    """Check the attributes of a frozen dataclass named in kinds as
+    check_fields checks a JSON object's values, and store the checked
+    values (an integer as an int) in place."""
+    values = check_fields({key: getattr(obj, key) for key in kinds}, where, kinds)
+    for key, value in values.items():
+        object.__setattr__(obj, key, value)
 
 
 def _checked(value, kind, where, key):

@@ -192,10 +192,10 @@ def _load_reflectivity(path):
     if kind == "pgm":
         values, maxval = io.read_pgm(path)
         return values.astype(np.float64) / maxval
-    values = io.read_pfm(path).astype(np.float64)
-    if values.min() < 0 or values.max() > 1:
-        raise ValueError(f"float reflectivity must lie in [0, 1]: {path}")
-    return values
+    values = io.read_pfm(path)
+    if not (values.min() >= 0 and values.max() <= 1):  # NaN fails both, before the cast
+        raise ValueError(f"float reflectivity must be finite and lie in [0, 1]: {path}")
+    return values.astype(np.float64)
 
 
 def _load_depth(path, d_min, d_max):

@@ -48,13 +48,13 @@ class SolverConfig:
     rel_tol: float = 1e-4
 
     def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError(f"beta must be finite and non-negative: {self.beta}")
-        if not self.rel_tol >= 0:
+        io.check_attributes(self, "solver config", SOLVER_FIELDS)
+        if self.beta < 0:
+            raise ValueError(f"beta must be non-negative: {self.beta}")
+        if self.rel_tol < 0:
             raise ValueError(f"rel_tol must be non-negative: {self.rel_tol}")
-        if not (self.max_iters >= 1 and float(self.max_iters).is_integer()):
+        if self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1: {self.max_iters}")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
 
     def to_dict(self):
         return {k: (int if kind == "integer" else float)(getattr(self, k))

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,18 @@ def test_spec_validation():
         ExperimentSpec(**{**ok, "ppp": ()})
     with pytest.raises(ValueError):
         ExperimentSpec(**{**ok, "sbr": 0.0})
+
+
+def test_spec_refuses_wrong_kinds():
+    ok = dict(scene_kind="chart", scan=ScanConfig(**small_scan()), ppp=(2.0,),
+              sbr=1.0, seeds=(0,), methods=("ml",))
+    # these used to run: seed 1.5 as seed 1, ppp "2" as 2.0, sbr True as 1.0
+    for key, bad, where in (("seeds", (1.5,), "seeds[0]"), ("ppp", ("2",), "ppp[0]"),
+                            ("sbr", True, "sbr"), ("methods", (1,), "methods[0]")):
+        with pytest.raises(ValueError, match=rf"^spec: {re.escape(where)} must be"):
+            ExperimentSpec(**{**ok, key: bad})
+    spec = ExperimentSpec(**{**ok, "ppp": [np.float64(2), 1], "seeds": [np.int64(3)]})
+    assert spec.ppp == (2.0, 1.0) and spec.seeds == (3,) and type(spec.seeds[0]) is int
 
 
 def test_spec_dict_round_trip(tmp_path):

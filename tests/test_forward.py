@@ -227,23 +227,29 @@ def ndimage_passes(kernel, x):
 @pytest.mark.parametrize("jitter", [0.0, 1e-9, 3e-9])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_blocked_convolution_matches_ndimage_byte_for_byte(n, jitter):
+    # the band products agree with ndimage to rounding, not to the byte; the
+    # bytes still match for an all-zero input, which gives all +0.0
     cfg = ScanConfig(n=n, jitter_fwhm=jitter, bin_width=1.6e-9, n_bins=64)
     k = make_kernel(cfg)
-    width, slices = 2 * n + 3, 16
-    rows = forward._CONV_BLOCK_VOXELS // (width * slices)
-    assert rows > 2 * n + 2
+    block, side, m = forward._BAND_BLOCK, 2 * n + 1, k.temporal.size
+    assert m < block
     rng = np.random.default_rng(n)
-    # one short block; one block less a row; two blocks and a partial third
-    for height in (2 * n + 1, rows - 1, 2 * rows + 3):
-        shape = (height, width, slices)
+    # along each axis once: one short block (or the shortest the kernel
+    # allows), exactly one block, and three blocks plus a partial fourth
+    short, one, several = (side, m), (max(side, block), block), 3 * block + 5
+    for shape in ((short[0], one[0], several), (one[0], several, short[1]),
+                  (several, short[0], one[1])):
         signed = rng.standard_normal(shape)
         sparse = np.where(rng.random(shape) < 0.9, 0.0, rng.random(shape))
-        signed_zeros = np.where(rng.random(shape) < 0.5, -0.0, signed)
-        for kernel in (k, random_separable_kernel(rng, n, k.temporal.size)):
-            for x in (signed, sparse, signed_zeros, np.full(shape, -0.0)):
-                expected = ndimage_passes(kernel, x).tobytes()
-                assert convolve3d(kernel, x, 0.0).tobytes() == expected
-                assert convolve3d_adjoint(kernel, x).tobytes() == expected
+        for kernel in (k, random_separable_kernel(rng, n, m)):
+            for x in (signed, sparse):
+                expected = ndimage_passes(kernel, x)
+                bound = 1e-14 * np.abs(expected).max()
+                for got in (convolve3d(kernel, x, 0.0), convolve3d_adjoint(kernel, x)):
+                    assert np.abs(got - expected).max() <= bound
+            zero = np.zeros(shape)
+            assert convolve3d(kernel, zero, 0.0).tobytes() == zero.tobytes()
+            assert convolve3d_adjoint(kernel, zero).tobytes() == zero.tobytes()
 
 
 def test_kernel_larger_than_volume_errors():
@@ -302,6 +308,19 @@ def test_scan_config_invariants():
     assert type(cfg.n) is int and type(cfg.n_bins) is int
     assert cfg == ScanConfig(n=3, n_bins=64, bin_width=1.6e-9)
     assert ScanConfig(n=3).fov_fwhm_pixels == 6
+
+
+def test_scan_config_refuses_wrong_kinds():
+    # these used to construct: n=True as n = 1, a string bin width as given
+    for bad in ({"n": True}, {"n_bins": "64"}, {"jitter_fwhm": True},
+                {"bin_width": "1.6e-9"}, {"t0": None}):
+        (name, value), = bad.items()
+        with pytest.raises(ValueError, match=rf"^scan config: {name} must be"):
+            ScanConfig(**bad)
+    cfg = ScanConfig(n=np.int64(3), n_bins=np.float64(64.0),
+                     bin_width=np.float64(1.6e-9))
+    assert type(cfg.n) is int and type(cfg.n_bins) is int
+    assert cfg == ScanConfig(n=3, n_bins=64, bin_width=1.6e-9)
 
 
 # --- simulation ---------------------------------------------------------

@@ -274,6 +274,19 @@ def test_map_rejects_a_span_that_is_not_finite_and_ordered(tmp_path, vmin, vmax)
     assert "m.pgm.json" in str(refused.value)
 
 
+def test_map_refuses_a_sidecar_span_that_overflows(tmp_path):
+    # each end is finite and in order, but vmax - vmin is inf: every valid
+    # code used to decode to NaN or +-inf
+    p = tmp_path / "m.pgm"
+    io.write_map(p, np.array([[0.5, 1.5]]), np.ones((1, 2), dtype=bool),
+                 kind="depth", units="m")
+    meta = io.read_json(str(p) + ".json")
+    io.write_json_sidecar(p, {**meta, "vmin": -1e308, "vmax": 1e308})
+    with pytest.raises(ValueError, match="overflows") as refused:
+        io.read_map(p)
+    assert "m.pgm.json" in str(refused.value)
+
+
 # --- refusals name their file ----------------------------------------------
 
 

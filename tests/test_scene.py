@@ -168,6 +168,16 @@ def test_load_scene_errors(tmp_path):
         load_scene(tmp_path / "x.bin", tmp_path / "d.pfm")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1.5])
+def test_load_scene_refuses_a_float_reflectivity_outside_0_1_by_file(tmp_path, bad):
+    # NaN used to pass the [0, 1] check and be refused by Scene, naming no file
+    io.write_pfm(tmp_path / "d.pfm", np.ones((1, 2), dtype=np.float32))
+    io.write_pfm(tmp_path / "r.pfm", np.array([[0.5, bad]], dtype=np.float32))
+    with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]") as refused:
+        load_scene(tmp_path / "r.pfm", tmp_path / "d.pfm")
+    assert "r.pfm" in str(refused.value)
+
+
 def test_scene_dir_round_trip(tmp_path):
     scene = make_resolution_chart()
     save_scene(scene, tmp_path / "s")
