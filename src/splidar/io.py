@@ -350,6 +350,9 @@ _KINDS = {  # kind: (test, what the value must be)
     "number": (_is_number, "a finite number"),
     "integer": (lambda v: _is_number(v) and float(v).is_integer(), "an integer"),
     "number or null": (lambda v: v is None or _is_number(v), "a finite number or null"),
+    "number or inf": (lambda v: _is_number(v) or (isinstance(v, (float, np.floating))
+                                                  and v == math.inf),
+                      "a finite number or inf"),
     "string": (lambda v: isinstance(v, str), "a string"),
     "object": (lambda v: isinstance(v, dict), "a JSON object"),
 }
@@ -360,7 +363,8 @@ def check_fields(obj, where, required, optional=None):
 
     required and optional map each allowed key to its kind: "number" (a
     finite int or float, not a bool), "integer" (a number with an integral
-    value, returned as an int), "number or null", "string", "object", or
+    value, returned as an int), "number or null", "number or inf" (a number
+    or positive infinity), "string", "object", or
     [kind] for a list of values of that kind. A value that is not an
     object, a key outside required and optional, a missing required key or
     a value of another kind is a ValueError naming where and the key.

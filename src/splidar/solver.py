@@ -48,7 +48,9 @@ class SolverConfig:
     rel_tol: float = 1e-4
 
     def __post_init__(self):
-        io.check_attributes(self, "solver config", SOLVER_FIELDS)
+        # rel_tol = inf stops after the first iteration
+        io.check_attributes(self, "solver config",
+                            {**SOLVER_FIELDS, "rel_tol": "number or inf"})
         if self.beta < 0:
             raise ValueError(f"beta must be non-negative: {self.beta}")
         if self.rel_tol < 0:

@@ -271,7 +271,6 @@ def test_spec_validation():
 def test_spec_refuses_wrong_kinds():
     ok = dict(scene_kind="chart", scan=ScanConfig(**small_scan()), ppp=(2.0,),
               sbr=1.0, seeds=(0,), methods=("ml",))
-    # these used to run: seed 1.5 as seed 1, ppp "2" as 2.0, sbr True as 1.0
     for key, bad, where in (("seeds", (1.5,), "seeds[0]"), ("ppp", ("2",), "ppp[0]"),
                             ("sbr", True, "sbr"), ("methods", (1,), "methods[0]")):
         with pytest.raises(ValueError, match=rf"^spec: {re.escape(where)} must be"):

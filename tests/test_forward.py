@@ -311,7 +311,6 @@ def test_scan_config_invariants():
 
 
 def test_scan_config_refuses_wrong_kinds():
-    # these used to construct: n=True as n = 1, a string bin width as given
     for bad in ({"n": True}, {"n_bins": "64"}, {"jitter_fwhm": True},
                 {"bin_width": "1.6e-9"}, {"t0": None}):
         (name, value), = bad.items()

@@ -275,8 +275,7 @@ def test_map_rejects_a_span_that_is_not_finite_and_ordered(tmp_path, vmin, vmax)
 
 
 def test_map_refuses_a_sidecar_span_that_overflows(tmp_path):
-    # each end is finite and in order, but vmax - vmin is inf: every valid
-    # code used to decode to NaN or +-inf
+    # each end is finite and in order, but vmax - vmin is inf
     p = tmp_path / "m.pgm"
     io.write_map(p, np.array([[0.5, 1.5]]), np.ones((1, 2), dtype=bool),
                  kind="depth", units="m")

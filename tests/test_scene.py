@@ -170,7 +170,6 @@ def test_load_scene_errors(tmp_path):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1.5])
 def test_load_scene_refuses_a_float_reflectivity_outside_0_1_by_file(tmp_path, bad):
-    # NaN used to pass the [0, 1] check and be refused by Scene, naming no file
     io.write_pfm(tmp_path / "d.pfm", np.ones((1, 2), dtype=np.float32))
     io.write_pfm(tmp_path / "r.pfm", np.array([[0.5, bad]], dtype=np.float32))
     with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]") as refused:
