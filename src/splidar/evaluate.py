@@ -122,6 +122,10 @@ class ExperimentSpec:
             raise ValueError(f"scene kind 'dir' takes no chart keys: {keys}")
         if self.scene_kind == "chart" and self.scene_path is not None:
             raise ValueError("scene kind 'chart' takes no path")
+        for name, kind in (("scan", ScanConfig), ("solver", SolverConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"spec: {name} must be a {kind.__name__}, "
+                                 f"got {getattr(self, name)!r}")
         grid = io.check_fields(
             {"ppp": list(self.ppp), "sbr": self.sbr, "seeds": list(self.seeds),
              "methods": list(self.methods)}, "spec", _GRID_FIELDS)
@@ -212,7 +216,7 @@ def _at_full_depth(maps, lo, config):
 
     A bare array reads at bin_width 1 and t0 0, so each valid depth is
     k* c/2 for an integer peak bin k*; c/2 is an integer too, so the
-    quotient below is k* exactly, and lo = 0 gives today's bytes.
+    quotient below is k* exactly.
     """
     k_star = maps.depth / (SPEED_OF_LIGHT / 2.0)
     return _peak_maps(

@@ -113,6 +113,33 @@ def test_ml_input_validation():
             pixelwise_ml(counts, np.array(g), 0.0)
 
 
+def test_ml_refuses_an_asymmetric_kernel():
+    counts = np.zeros((2, 2, 24))
+    counts[0, 0, 9] = 4
+    tilted = gauss_template()
+    tilted[0] = np.nextafter(tilted[0], 1.0)  # one ulp off its mirror tap
+    for g in ([0.2, 0.5, 0.3], [0.0, 1.0, 0.5], tilted):
+        with pytest.raises(ValueError, match="temporal kernel must be symmetric"):
+            pixelwise_ml(counts, np.array(g), 0.0)
+        with pytest.raises(ValueError, match="temporal kernel must be symmetric"):
+            reconstruct_no_scan(counts, np.array(g), 0.0, 2)
+
+
+def test_ml_accepts_the_kernels_the_pipeline_and_tests_use():
+    counts = np.zeros((2, 2, 24))
+    counts[0, 0, 9] = 4
+    kernels = [gauss_template(), gauss_template(7, 1.5)]
+    for bin_width in (0.4e-9, 1.6e-9):
+        for jitter in (0.0, 1e-9, 3e-9):
+            cfg = ScanConfig(jitter_fwhm=jitter, bin_width=bin_width, n_bins=24,
+                             sbr_window=24 * bin_width)
+            kernels.append(make_kernel(cfg).temporal)
+    for g in kernels:
+        maps = pixelwise_ml(counts, g, 0.1)
+        assert maps.valid.tolist() == [[True, False], [False, False]]
+        assert maps.depth[0, 0] == 9 * SPEED_OF_LIGHT / 2.0
+
+
 def test_no_scan_factor_one_is_pixelwise():
     scene = Scene(
         reflectivity=np.full((6, 6), 0.7), depth=np.full((6, 6), 2.4)

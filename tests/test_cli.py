@@ -14,6 +14,8 @@ from splidar.io import read_map, read_pfm, write_pfm, write_pgm
 from splidar.scene import load_scene_dir, make_resolution_chart
 from splidar.solver import SolverConfig
 
+from test_solver import _run_python
+
 
 def read_ppm(path):
     with open(path, "rb") as fh:
@@ -181,6 +183,20 @@ def test_reconstruct_bad_setting_is_usage_error(cube_path, tmp_path, capsys,
     assert rc == 2
     assert not out.exists()  # rejected before any output is written
     capsys.readouterr()
+
+
+def test_reconstruct_refuses_an_infinite_rel_tol(cube_path, tmp_path, capsys):
+    # reconstruct.json records rel_tol, and JSON has no infinity; --max-iters 1
+    # is the one-iteration solve
+    out = tmp_path / "out"
+    args = ["reconstruct", str(cube_path), "--method", "deconv3d"]
+    assert main(args + ["--rel-tol", "inf", "-o", str(out)]) == 2
+    assert "rel_tol must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["--max-iters", "1", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "report.json").read_text())["iterations"] == 1
+    assert json.loads((out / "reconstruct.json").read_text())["solver"]["max_iters"] == 1
 
 
 def test_reconstruct_unknown_method_is_usage_error(cube_path, tmp_path, capsys):
@@ -455,3 +471,10 @@ def test_experiment_failing_cell_returns_runtime_error(scene_dir, tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(raw))
     assert main(["experiment", str(spec_path), "-o", str(tmp_path / "o")]) == 1
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    loaded = _run_python("import sys, splidar, splidar.cli; print(sorted("
+                         "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded.strip() == "[]"

@@ -279,6 +279,17 @@ def test_spec_refuses_wrong_kinds():
     assert spec.ppp == (2.0, 1.0) and spec.seeds == (3,) and type(spec.seeds[0]) is int
 
 
+def test_spec_refuses_configs_of_the_wrong_type():
+    ok = dict(scene_kind="chart", scan=ScanConfig(**small_scan()), ppp=(2.0,),
+              sbr=1.0, seeds=(0,), methods=("ml",))
+    for key, bad, kind in (("scan", small_scan(), "ScanConfig"),
+                           ("solver", {"beta": 0.1}, "SolverConfig"),
+                           ("scan", SolverConfig(), "ScanConfig"),
+                           ("solver", None, "SolverConfig")):
+        with pytest.raises(ValueError, match=rf"^spec: {key} must be a {kind}"):
+            ExperimentSpec(**{**ok, key: bad})
+
+
 def test_spec_dict_round_trip(tmp_path):
     raw = {
         "scene": {"kind": "chart", "d_fg": 2.5, "d_bg": 4.0},

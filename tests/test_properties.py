@@ -1,7 +1,7 @@
 """Property tests: the adjoint identity, the TV prox guarantees, the range
-gate's effect on the ml estimator and file round trips, each on shapes and
-values drawn by Hypothesis (profile in conftest.py: derandomized, no example
-database)."""
+gate's effect on the ml estimator, the ml filter's bytes and file round
+trips, each on shapes and values drawn by Hypothesis (profile in
+conftest.py: derandomized, no example database)."""
 
 import json
 import tempfile
@@ -12,9 +12,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from splidar import io
-from splidar.baselines import pixelwise_ml
+from splidar.baselines import _correlate_symmetric, pixelwise_ml
 from splidar.evaluate import reconstruct_cell
 from splidar.forward import (
     HistogramCube,
@@ -315,6 +316,41 @@ def test_gated_ml_keeps_the_bytes_of_peaks_inside_the_window(cube):
     assert gated.valid[inside].all()
     assert gated.depth[inside].tobytes() == ungated.depth[inside].tobytes()
     assert gated.reflectivity[inside].tobytes() == ungated.reflectivity[inside].tobytes()
+
+
+@st.composite
+def symmetric_templates(draw):
+    """An odd-length, exactly symmetric temporal factor: a make_kernel one
+    (jitter 0 gives the single tap [1.0]) or a random one, used as it is or
+    as the log template that pixelwise_ml builds from it."""
+    if draw(st.booleans()):
+        bin_width = draw(st.sampled_from([0.4e-9, 1e-9, 1.6e-9]))
+        config = ScanConfig(
+            n=1, bin_width=bin_width, n_bins=64, sbr_window=64 * bin_width,
+            jitter_fwhm=draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])) * bin_width)
+        g = make_kernel(config).temporal
+    else:
+        half = np.asarray(draw(st.lists(st.floats(0.0, 1.0), max_size=10)))
+        g = np.concatenate([half, [draw(st.floats(1e-3, 1.0))], half[::-1]])
+    b = draw(st.sampled_from([None, 0.0, 0.05, 2.0]))
+    if b is None:
+        return g
+    b_prime = max(b / g.max(), 1e-12)
+    return np.log(g + b_prime) - np.log(b_prime)
+
+
+@given(symmetric_templates(), st.data(), seeds)
+def test_ml_filter_matches_ndimage_byte_for_byte(w, data, seed):
+    n_bins = data.draw(st.integers(w.size, 64))
+    shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), n_bins)
+    density = data.draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))  # 0: all zero
+    rng = np.random.default_rng(seed)
+    counts = (rng.poisson(data.draw(st.floats(0.1, 20.0)), shape)
+              * (rng.random(shape) < density)).astype(np.float64)
+    got = _correlate_symmetric(counts, w)
+    expected = ndimage.correlate1d(counts, w, axis=2, mode="constant", cval=0.0)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

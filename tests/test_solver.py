@@ -282,7 +282,8 @@ def test_solver_config_refuses_wrong_kinds():
             SolverConfig(**bad)
     cfg = SolverConfig(beta=np.float64(0.5), max_iters=np.int64(7))
     assert cfg == SolverConfig(0.5, 7) and type(cfg.max_iters) is int
-    assert SolverConfig(rel_tol=float("inf")).rel_tol == float("inf")
+    with pytest.raises(ValueError, match=r"^solver config: rel_tol must be a finite"):
+        SolverConfig(rel_tol=float("inf"))
 
 
 def test_solve_identity_model_recovers_counts():
