@@ -174,7 +174,8 @@ def test_reconstruct_rerun_byte_identical(cube_path, tmp_path):
 
 
 @pytest.mark.parametrize("method", ["ml", "noscan", "deconv3d"])
-@pytest.mark.parametrize("flag", [["--beta", "nan"]], ids=["beta-nan"])
+@pytest.mark.parametrize("flag", [["--beta", "nan"], ["--rel-tol", "inf"]],
+                         ids=["beta-nan", "rel-tol-inf"])
 def test_reconstruct_bad_setting_is_usage_error(cube_path, tmp_path, capsys,
                                                 method, flag):
     out = tmp_path / "out"
@@ -183,20 +184,6 @@ def test_reconstruct_bad_setting_is_usage_error(cube_path, tmp_path, capsys,
     assert rc == 2
     assert not out.exists()  # rejected before any output is written
     capsys.readouterr()
-
-
-def test_reconstruct_refuses_an_infinite_rel_tol(cube_path, tmp_path, capsys):
-    # reconstruct.json records rel_tol, and JSON has no infinity; --max-iters 1
-    # is the one-iteration solve
-    out = tmp_path / "out"
-    args = ["reconstruct", str(cube_path), "--method", "deconv3d"]
-    assert main(args + ["--rel-tol", "inf", "-o", str(out)]) == 2
-    assert "rel_tol must be a finite number" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(args + ["--max-iters", "1", "-o", str(out)]) == 0
-    capsys.readouterr()
-    assert json.loads((out / "report.json").read_text())["iterations"] == 1
-    assert json.loads((out / "reconstruct.json").read_text())["solver"]["max_iters"] == 1
 
 
 def test_reconstruct_unknown_method_is_usage_error(cube_path, tmp_path, capsys):

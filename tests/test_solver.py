@@ -276,14 +276,12 @@ def test_solver_config_validation():
 
 def test_solver_config_refuses_wrong_kinds():
     for bad in ({"beta": True}, {"beta": "0.1"}, {"max_iters": True},
-                {"rel_tol": None}):
+                {"rel_tol": None}, {"rel_tol": float("inf")}):
         (name, value), = bad.items()
         with pytest.raises(ValueError, match=rf"^solver config: {name} must be"):
             SolverConfig(**bad)
     cfg = SolverConfig(beta=np.float64(0.5), max_iters=np.int64(7))
     assert cfg == SolverConfig(0.5, 7) and type(cfg.max_iters) is int
-    with pytest.raises(ValueError, match=r"^solver config: rel_tol must be a finite"):
-        SolverConfig(rel_tol=float("inf"))
 
 
 def test_solve_identity_model_recovers_counts():
