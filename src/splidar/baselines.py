@@ -15,8 +15,12 @@ for byte. Each step is one elementwise numpy operation and no BLAS call is
 made, so for a given cube the scores, and with them the argmax wherever
 integer counts make exact ties, do not depend on the BLAS kernel. Summing
 x[k-j] and x[k+j] under one weight equals the plain correlation only when
-w[r-j] == w[r+j], so pixelwise_ml refuses a temporal kernel that is not
-exactly its own reverse.
+w[r-j] == w[r+j]; Kernel guarantees that its temporal factor is odd-length,
+finite, non-negative and exactly its own reverse.
+
+Both methods take the contract of spiral_solve: a bare (H, W, T) count
+array, the Kernel and the background per bin. Their maps read at bin width
+1 and t0 0.
 """
 
 from __future__ import annotations
@@ -28,26 +32,19 @@ from .solver import Maps, _count_parts, _peak_maps, _window_sums
 _LOG_FLOOR = 1e-12  # keeps log finite when the background is zero
 
 
-def pixelwise_ml(y, g_t, b, window_half=None):
+def pixelwise_ml(y, kernel, b, window_half=None):
     """Independent per-pixel depth/reflectivity via the log-matched filter.
 
-    score(k) = sum_m y[m] * log(g_t[m-k] + b'), with b' the background
-    rescaled against the kernel peak. The constant part of the template is
-    dropped so the score reduces to a correlation with the non-negative
-    profile log(g_t + b') - log(b'), which leaves the argmax unchanged.
-    Reflectivity is the background-subtracted count sum in a +-window_half
-    window around the peak (default: the kernel half-width). Pixels with no
-    counts at all are flagged invalid.
+    score(k) = sum_m y[m] * log(g_t[m-k] + b'), with g_t = kernel.temporal
+    and b' the background rescaled against the kernel peak. The constant
+    part of the template is dropped so the score reduces to a correlation
+    with the non-negative profile log(g_t + b') - log(b'), which leaves the
+    argmax unchanged. Reflectivity is the background-subtracted count sum in
+    a +-window_half window around the peak (default: the kernel
+    half-width). Pixels with no counts at all are flagged invalid.
     """
-    counts, bin_width, t0 = _count_parts(y, b)
-    g = np.asarray(g_t, dtype=np.float64)
-    if g.ndim != 1 or g.size % 2 == 0:
-        raise ValueError(f"temporal kernel must be odd-length 1D, got {g.shape}")
-    if not (np.isfinite(g).all() and (g >= 0).all() and g.max() > 0):
-        raise ValueError("temporal kernel must be finite and non-negative, "
-                         "with a positive entry")
-    if not np.array_equal(g, g[::-1]):
-        raise ValueError("temporal kernel must be symmetric: equal to its own reverse")
+    counts = _count_parts(y, b)
+    g = kernel.temporal
     if g.size > counts.shape[2]:
         raise ValueError("temporal kernel longer than the histogram")
     if window_half is None:
@@ -60,7 +57,7 @@ def pixelwise_ml(y, g_t, b, window_half=None):
 
     in_window, width = _window_sums(counts, k_star, window_half)
     refl = np.maximum(in_window - b * width, 0.0)
-    return _peak_maps(k_star, refl, counts.sum(axis=2) > 0, t0, bin_width)
+    return _peak_maps(k_star, refl, counts.sum(axis=2) > 0, 0.0, 1.0)
 
 
 def _correlate_symmetric(x, w):
@@ -76,11 +73,11 @@ def _correlate_symmetric(x, w):
     return score
 
 
-def reconstruct_no_scan(counts, g_t, b, factor, window_half=None):
+def reconstruct_no_scan(counts, kernel, b, factor, window_half=None):
     """Conventional-raster reference: pixelwise_ml on every factor-th scan
     position along both axes of a bare (H, W, T) count array, at offset
     (0, 0), nearest-neighbor upsampled so maps compare like for like with
-    the sub-pixel methods. g_t, b and window_half are pixelwise_ml's.
+    the sub-pixel methods. kernel, b and window_half are pixelwise_ml's.
     """
     if int(factor) != factor or factor < 1:
         raise ValueError(f"factor must be an integer >= 1, got {factor}")
@@ -91,7 +88,7 @@ def reconstruct_no_scan(counts, g_t, b, factor, window_half=None):
     h, w, _ = counts.shape
     if h % factor or w % factor:
         raise ValueError(f"factor {factor} does not divide {h}x{w}")
-    maps = pixelwise_ml(counts[::factor, ::factor], g_t, b, window_half=window_half)
+    maps = pixelwise_ml(counts[::factor, ::factor], kernel, b, window_half=window_half)
     return _nn_upsample_maps(maps, factor)
 
 

@@ -227,10 +227,12 @@ def _at_full_depth(maps, lo, config):
 def reconstruct_cell(cube, method, solver):
     """One reconstruction of the bins that can hold signal, reading
     reflectivity over the temporal kernel half-width; noscan steps by one
-    footprint, 2n. Every method sees the same gated bins (_signal_window)
-    and writes maps at the full depth scale; the volume keeps the gated
-    bins, its t0 the time of the first. Returns (Maps, SolveReport or None,
-    RDVolume or None, settings), settings being the values used."""
+    footprint, 2n. Every method takes the same three inputs: the gated bins
+    (_signal_window) as a bare count array, the Kernel and the background.
+    Its maps, read at bin width 1 and t0 0, go back to the cube's depth
+    scale (_at_full_depth); the volume keeps the gated bins, its t0 the time
+    of the first. Returns (Maps, SolveReport or None, RDVolume or None,
+    settings), settings being the values used."""
     config, b = cube.config, cube.background_per_bin
     kernel = make_kernel(config)
     window_half = kernel.temporal.size // 2
@@ -239,11 +241,11 @@ def reconstruct_cell(cube, method, solver):
     settings = {"window": [lo, hi], "window_half": window_half}
     report = volume = None
     if method == "ml":
-        maps = pixelwise_ml(counts, kernel.temporal, b, window_half=window_half)
+        maps = pixelwise_ml(counts, kernel, b, window_half=window_half)
     elif method == "noscan":
         settings["factor"] = 2 * config.n
         maps = reconstruct_no_scan(
-            counts, kernel.temporal, b, settings["factor"], window_half=window_half
+            counts, kernel, b, settings["factor"], window_half=window_half
         )
     elif method == "deconv3d":
         settings["solver"] = solver.to_dict()
@@ -265,29 +267,26 @@ def run_experiment(spec, out_dir):
     Layout: cubes/ (one per ppp x seed, shared across methods), cells/ (maps
     and solver reports per method x ppp x seed), results.csv, timings.csv,
     manifest.json. Every output except timings.csv is byte-deterministic for
-    a fixed spec. Per-cell failures are recorded in the status column and do
-    not abort the sweep. Returns the list of result-row dicts.
+    a fixed spec. out_dir must not exist yet or be empty, since the manifest
+    hashes every file under it. Per-cell failures are recorded in the status
+    column and do not abort the sweep. Returns the list of result-row dicts,
+    method-major.
     """
-    scene, layout = _load_spec_scene(spec)
     out = Path(out_dir)
+    if out.is_dir() and any(out.iterdir()):
+        raise ValueError(f"experiment directory is not empty: {out}")
+    scene, layout = _load_spec_scene(spec)
     (out / "cubes").mkdir(parents=True, exist_ok=True)
     (out / "cells").mkdir(exist_ok=True)
     truth_valid = scene.reflectivity > 0
     half_bin_m = spec.scan.bin_width * SPEED_OF_LIGHT / 2.0
 
-    cubes = {}
+    cells = []  # (method index, row, cell, seconds); one cube held at a time
     for ppp in spec.ppp:
         for seed in spec.seeds:
             cube = simulate(scene, spec.scan, ppp, spec.sbr, seed)
-            name = f"ppp{_fmt(ppp)}_seed{seed}"
-            save_cube(cube, out / "cubes" / f"{name}.sph1")
-            cubes[(ppp, seed)] = cube
-
-    rows = []
-    timings = []
-    for method in spec.methods:
-        for ppp in spec.ppp:
-            for seed in spec.seeds:
+            save_cube(cube, out / "cubes" / f"ppp{_fmt(ppp)}_seed{seed}.sph1")
+            for index, method in enumerate(spec.methods):
                 cell = f"{method}_ppp{_fmt(ppp)}_seed{seed}"
                 cell_dir = out / "cells" / cell
                 cell_dir.mkdir(exist_ok=True)
@@ -296,13 +295,10 @@ def run_experiment(spec, out_dir):
                 started = time.perf_counter()
                 try:
                     maps, report, volume, settings = reconstruct_cell(
-                        cubes[(ppp, seed)], method, spec.solver
+                        cube, method, spec.solver
                     )
                     row["window"] = "{}:{}".format(*settings["window"])
-                    mask = maps.valid & truth_valid
-                    err_m = rmse(
-                        np.nan_to_num(maps.depth), scene.depth, mask
-                    )
+                    err_m = rmse(maps.depth, scene.depth, maps.valid & truth_valid)
                     row["rmse_m"] = _fmt(err_m)
                     row["rmse_bins"] = _fmt(err_m / half_bin_m)
                     if layout is not None:
@@ -313,14 +309,16 @@ def run_experiment(spec, out_dir):
                     save_cell_outputs(cell_dir, maps, report, volume)
                 except Exception as exc:  # record and continue the sweep
                     row["status"] = f"error: {exc}"
-                timings.append((cell, time.perf_counter() - started))
-                rows.append(row)
+                cells.append((index, row, cell, time.perf_counter() - started))
+            del cube
+    cells.sort(key=lambda c: c[0])  # stable: method-major, then ppp, then seed
+    rows = [row for _, row, _, _ in cells]
 
     _write_results(out / "results.csv", rows)
     with open(out / "timings.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["cell", "seconds"])
-        for cell, seconds in timings:
+        for _, _, cell, seconds in cells:
             writer.writerow([cell, f"{seconds:.3f}"])
     _write_manifest(out, spec)
     return rows
@@ -332,13 +330,7 @@ def _fmt(value):
 
 def save_cell_outputs(cell_dir, maps, report, volume):
     """Write the maps, and the solver report and volume when present."""
-    io.write_map(
-        cell_dir / "depth.pgm",
-        np.nan_to_num(maps.depth),
-        maps.valid,
-        kind="depth",
-        units="m",
-    )
+    io.write_map(cell_dir / "depth.pgm", maps.depth, maps.valid, kind="depth", units="m")
     io.write_map(
         cell_dir / "reflectivity.pgm",
         maps.reflectivity,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import io
-from .forward import HistogramCube, convolve3d, convolve3d_adjoint
+from .forward import convolve3d, convolve3d_adjoint
 from .scene import SPEED_OF_LIGHT, RDVolume, _as_volume
 
 _PROX_TAU = 0.249  # dual ascent step, < 1/4 keeps the 2D fixed point stable
@@ -95,19 +95,16 @@ class Maps:
 
 
 def _count_parts(y, b):
-    """Counts as float64, with the cube's bin_width and t0 (1 and 0 for a
-    bare array), after checking the background b. A HistogramCube already
-    holds non-negative integers in 3D; a bare array is checked here."""
+    """The bare (H, W, T) count array y as float64, checked finite and
+    non-negative, after checking the background b."""
     if not np.isfinite(b) or b < 0:
         raise ValueError(f"background must be finite and non-negative, got {b}")
-    if isinstance(y, HistogramCube):
-        return y.counts.astype(np.float64), y.config.bin_width, y.config.t0
     counts = np.asarray(y, dtype=np.float64)
     if counts.ndim != 3:
         raise ValueError(f"expected 3D counts, got {counts.shape}")
     if not (np.isfinite(counts).all() and (counts >= 0).all()):
         raise ValueError("counts must be finite and non-negative")
-    return counts, 1.0, 0.0
+    return counts
 
 
 def _dot(a, b):
@@ -133,7 +130,7 @@ def neg_log_likelihood(rd, y, g, b):
     zero-flux bins stay finite.
     """
     x = _as_volume(rd)
-    counts, _, _ = _count_parts(y, b)
+    counts = _count_parts(y, b)
     if x.shape != counts.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {counts.shape}")
     lam = convolve3d(g, x, b)
@@ -143,7 +140,7 @@ def neg_log_likelihood(rd, y, g, b):
 def nll_gradient(rd, y, g, b):
     """Gradient of the fit term: correlation of (1 - Y/Lambda) with g."""
     x = _as_volume(rd)
-    counts, _, _ = _count_parts(y, b)
+    counts = _count_parts(y, b)
     if x.shape != counts.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {counts.shape}")
     return _nll_gradient_of_lambda(convolve3d(g, x, b), counts, g)
@@ -338,12 +335,13 @@ def spiral_solve(y, g, b, config=None, init=None):
     the last accepted one. Otherwise stops after max_iters. Default
     initialization is the backprojection g~ * max(Y - b, 0).
 
-    y may be a HistogramCube or a bare count array; with a cube, the output
-    volume inherits its bin_width and t0.
+    y is a bare (H, W, T) count array, g the Kernel and b the background
+    per bin. The volume reads at bin width 1 and t0 0, as the baselines'
+    maps do; reconstruct_cell puts a cube's maps on its depth scale.
     """
     if config is None:
         config = SolverConfig()
-    counts, bin_width, t0 = _count_parts(y, b)
+    counts = _count_parts(y, b)
     beta = config.beta
 
     if init is None:
@@ -410,7 +408,7 @@ def spiral_solve(y, g, b, config=None, init=None):
             converged = True
             break
 
-    volume = RDVolume(data=x, bin_width=bin_width, t0=t0)
+    volume = RDVolume(data=x, bin_width=1.0)
     report = SolveReport(
         objective_trace=trace,
         iterations=len(backtracks),

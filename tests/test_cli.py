@@ -460,6 +460,20 @@ def test_experiment_failing_cell_returns_runtime_error(scene_dir, tmp_path):
     assert main(["experiment", str(spec_path), "-o", str(tmp_path / "o")]) == 1
 
 
+def test_experiment_refuses_a_used_output_directory(scene_dir, tmp_path, capsys):
+    raw = experiment_spec_dict(scene_dir)
+    raw["methods"] = ["ml"]
+    spec_path, out = tmp_path / "spec.json", tmp_path / "o"
+    spec_path.write_text(json.dumps(raw))
+    assert main(["experiment", str(spec_path), "-o", str(out)]) == 0
+    raw["seeds"] = [1]
+    spec_path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["experiment", str(spec_path), "-o", str(out)]) == 1
+    assert f"error: experiment directory is not empty: {out}" in capsys.readouterr().err
+    assert not (out / "cells" / "ml_ppp8_seed1").exists()
+    assert not (out / "cubes" / "ppp8_seed1.sph1").exists()
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests alone
     loaded = _run_python("import sys, splidar, splidar.cli; print(sorted("

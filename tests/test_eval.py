@@ -118,6 +118,19 @@ def test_every_method_runs_far_below_one_photon_per_pixel():
         assert np.isfinite(maps.depth[maps.valid]).all()
 
 
+def test_readme_python_api_runs(capsys):
+    # the documented API, run as written: the section's python blocks in
+    # order, in one namespace
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.startswith("[10, 17] ")
+
+
 # --- range gate -----------------------------------------------------------
 
 
@@ -134,18 +147,18 @@ def test_gate_spanning_every_bin_keeps_todays_bytes():
     b = cube.background_per_bin
     assert _signal_window(cube.counts, b, r) == (0, 16)
     solver = SolverConfig(beta=0.05, max_iters=4)
-    # reconstruct_cell's methods as they were before the gate; noscan read
-    # every 2nd scan position as a cube, at the cube's t0 and bin width
-    volume, report = spiral_solve(cube, kernel, b, solver)
-    coarse = HistogramCube(counts=cube.counts[::2, ::2].copy(), config=cfg,
-                           background_per_bin=b, rng_seed=cube.rng_seed)
-    noscan = pixelwise_ml(coarse, kernel.temporal, b, window_half=r)
+    # reconstruct_cell's methods as they were before the gate, on the whole
+    # histogram; noscan read every 2nd scan position. Their maps read at bin
+    # width 1 and t0 0, and go to the cube's depth scale as the gate's do
+    volume, report = spiral_solve(cube.counts, kernel, b, solver)
+    noscan = pixelwise_ml(cube.counts[::2, ::2], kernel, b, window_half=r)
     ungated = {
-        "ml": (pixelwise_ml(cube, kernel.temporal, b, window_half=r), None, None),
+        "ml": (pixelwise_ml(cube.counts, kernel, b, window_half=r), None, None),
         "noscan": (_repeat_maps(noscan, 2), None, None),
         "deconv3d": (extract_depth_reflectivity(volume, window_half=r), report, volume),
     }
     for method, (maps, report, volume) in ungated.items():
+        maps = _at_full_depth(maps, 0, cfg)
         got, got_report, got_volume, settings = reconstruct_cell(cube, method, solver)
         assert settings["window"] == [0, 16]
         for field in ("depth", "reflectivity", "valid"):
@@ -153,7 +166,7 @@ def test_gate_spanning_every_bin_keeps_todays_bytes():
         if method == "deconv3d":
             assert got_report.to_dict() == report.to_dict()
             assert got_volume.data.tobytes() == volume.data.tobytes()
-            assert (got_volume.bin_width, got_volume.t0) == (volume.bin_width, volume.t0)
+            assert (got_volume.bin_width, got_volume.t0) == (cfg.bin_width, cfg.t0)
 
 
 def _repeat_maps(maps, factor):
@@ -174,7 +187,7 @@ def test_gated_noscan_keeps_the_bytes_of_the_coarsened_gated_cube():
     got, _, _, settings = reconstruct_cell(cube, "noscan", SolverConfig())
     lo, hi = settings["window"]
     assert (lo, hi) == (10, 17) and settings["factor"] == 8
-    coarse = pixelwise_ml(cube.counts[::8, ::8, lo:hi], kernel.temporal,
+    coarse = pixelwise_ml(cube.counts[::8, ::8, lo:hi], kernel,
                           cube.background_per_bin, window_half=r)
     expected = _at_full_depth(_repeat_maps(coarse, 8), lo, EXPERIMENT_SCAN)
     for field in ("depth", "reflectivity", "valid"):
@@ -422,6 +435,19 @@ def test_manifest_hashes_verify(tmp_path, tiny_scene_dir):
         assert not rel.startswith("/")
         assert sha256_file(out / rel) == digest
 
+
+def test_run_experiment_refuses_a_directory_that_holds_files(tmp_path, tiny_scene_dir):
+    out = tmp_path / "run"
+    out.mkdir()  # an existing empty directory is accepted
+    rows = run_experiment(tiny_spec(tiny_scene_dir, methods=("ml", "noscan")), out)
+    # one cube at a time, but the rows stay method-major
+    assert [(r["method"], r["seed"]) for r in rows] == [
+        ("ml", "0"), ("ml", "1"), ("noscan", "0"), ("noscan", "1")]
+    written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    # a second run would list the first run's files in its manifest
+    with pytest.raises(ValueError, match=re.escape(f"not empty: {out}")):
+        run_experiment(tiny_spec(tiny_scene_dir, seeds=(2,), methods=("ml",)), out)
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
 
 def test_cell_failure_recorded_not_fatal(tmp_path, tiny_scene_dir):
     # 12x12 frames cannot be coarsened by 2n = 8; that cell errors, others run

@@ -113,6 +113,8 @@ def test_kernel_type_invariants():
         np.array([-0.25, 1.5, -0.25]),  # negative entry
         np.ones(3) / 2,  # sums to 1.5
         nan,
+        np.array([np.inf, 1.0, np.inf]),
+        np.zeros(3),  # sums to 0
         off_by_one_ulp,
     ):
         with pytest.raises(ValueError):

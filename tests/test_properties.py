@@ -16,7 +16,7 @@ from scipy import ndimage
 
 from splidar import io
 from splidar.baselines import _correlate_symmetric, pixelwise_ml
-from splidar.evaluate import reconstruct_cell
+from splidar.evaluate import _at_full_depth, reconstruct_cell
 from splidar.forward import (
     HistogramCube,
     ScanConfig,
@@ -305,12 +305,12 @@ def test_gated_ml_keeps_the_bytes_of_peaks_inside_the_window(cube):
     # the log-matched-filter template is non-negative, so cutting the bins
     # outside the window can only lower the score of a peak near its edge;
     # a peak at least r bins inside keeps its score, its argmax and its sums
-    g = make_kernel(cube.config).temporal
-    r = g.size // 2
+    kernel = make_kernel(cube.config)
+    r = kernel.temporal.size // 2
     gated, _, _, settings = reconstruct_cell(cube, "ml", SolverConfig())
     lo, hi = settings["window"]
-    ungated = pixelwise_ml(cube, g, cube.background_per_bin, window_half=r)
-    bare = pixelwise_ml(cube.counts, g, cube.background_per_bin, window_half=r)
+    bare = pixelwise_ml(cube.counts, kernel, cube.background_per_bin, window_half=r)
+    ungated = _at_full_depth(bare, 0, cube.config)
     k_star = np.where(bare.valid, bare.depth / (SPEED_OF_LIGHT / 2.0), -1)
     inside = ungated.valid & (k_star >= lo + r) & (k_star < hi - r)
     assert gated.valid[inside].all()

@@ -11,7 +11,7 @@ import pytest
 from scipy import optimize
 
 import splidar
-from splidar.baselines import pixelwise_ml
+from splidar.baselines import pixelwise_ml, reconstruct_no_scan
 from splidar.evaluate import reconstruct_cell
 from splidar.forward import HistogramCube, ScanConfig, make_kernel, simulate
 from splidar.scene import SPEED_OF_LIGHT, RDVolume, Scene, make_resolution_chart
@@ -314,10 +314,10 @@ def test_all_zero_cube_solves_to_zero_with_every_pixel_invalid(b):
     cube = HistogramCube(counts=np.zeros((5, 5, 8), dtype=np.int64), config=cfg,
                          background_per_bin=b, rng_seed=0)
     k = make_kernel(cfg)
-    vol, rep = spiral_solve(cube, k, b)
+    vol, rep = spiral_solve(cube.counts, k, b)
     assert rep.converged and rep.iterations == 1
     assert not vol.data.any()
-    for maps in (extract_depth_reflectivity(vol), pixelwise_ml(cube, k.temporal, b)):
+    for maps in (extract_depth_reflectivity(vol), pixelwise_ml(cube.counts, k, b)):
         assert not maps.valid.any()
         assert np.isnan(maps.depth).all()
         assert not maps.reflectivity.any()
@@ -332,7 +332,7 @@ def test_solve_trace_monotone_and_report_shape():
     cube = simulate(scene, cfg, ppp=8.0, sbr=1.0, seed=11)
     k = make_kernel(cfg)
     sol = SolverConfig(beta=0.05, max_iters=25, rel_tol=0.0)
-    vol, rep = spiral_solve(cube, k, cube.background_per_bin, sol)
+    vol, rep = spiral_solve(cube.counts, k, cube.background_per_bin, sol)
     trace = np.asarray(rep.objective_trace)
     assert not rep.converged  # rel_tol=0 never stops early
     assert rep.iterations == 25
@@ -343,7 +343,7 @@ def test_solve_trace_monotone_and_report_shape():
     assert sum(rep.backtracks) == rep.trial_steps - rep.iterations
     assert rep.to_dict()["backtracks"] == rep.backtracks
     assert (vol.data >= 0).all()
-    assert vol.bin_width == cfg.bin_width
+    assert (vol.bin_width, vol.t0) == (1.0, 0.0)  # a bare array reads at bin width 1
     assert np.isfinite(trace).all()
 
 
@@ -442,8 +442,8 @@ def test_solve_deterministic():
     cube = simulate(scene, cfg, ppp=5.0, sbr=0.5, seed=3)
     k = make_kernel(cfg)
     sol = SolverConfig(beta=0.02, max_iters=15)
-    va, ra = spiral_solve(cube, k, cube.background_per_bin, sol)
-    vb, rb = spiral_solve(cube, k, cube.background_per_bin, sol)
+    va, ra = spiral_solve(cube.counts, k, cube.background_per_bin, sol)
+    vb, rb = spiral_solve(cube.counts, k, cube.background_per_bin, sol)
     np.testing.assert_array_equal(va.data, vb.data)
     assert ra.objective_trace == rb.objective_trace
 
@@ -461,7 +461,7 @@ from splidar.evaluate import reconstruct_cell
 cfg = ScanConfig(n=4, jitter_fwhm=1e-9, bin_width=1.6e-9, n_bins=64)
 cube = simulate(make_resolution_chart(), cfg, 10.0, 0.2, 0)
 solver = SolverConfig(beta=0.01, max_iters=4, rel_tol=0.0)
-vol, _ = spiral_solve(cube, make_kernel(cfg), cube.background_per_bin, solver)
+vol, _ = spiral_solve(cube.counts, make_kernel(cfg), cube.background_per_bin, solver)
 print(hashlib.sha256(vol.data.tobytes()).hexdigest())
 natural = synth_natural_scene()
 win = (slice(42, 54), slice(70, 82))
@@ -505,6 +505,34 @@ def test_solve_rejects_bad_inputs():
         spiral_solve(np.ones((4, 4, 4)), delta_kernel(), 0.1,
                      init=np.ones((4, 4, 1)))
 
+
+
+def test_methods_take_bare_counts_and_a_kernel():
+    # one contract for deconv3d, ml, noscan and the likelihood terms: a bare
+    # count array, the Kernel and the background; a HistogramCube in place
+    # of the counts, or a raw template in place of the Kernel, is refused
+    cfg = ScanConfig(n=1, jitter_fwhm=1e-9, bin_width=1e-9, n_bins=8,
+                     sbr_window=8e-9)
+    counts = np.zeros((4, 4, 8), dtype=np.int64)
+    counts[1, 2, 3] = 5
+    cube = HistogramCube(counts=counts, config=cfg, background_per_bin=0.1,
+                         rng_seed=0)
+    k, x = make_kernel(cfg), np.ones((4, 4, 8))
+    methods = {
+        "deconv3d": lambda y, g: spiral_solve(y, g, 0.1, SolverConfig(max_iters=1)),
+        "ml": lambda y, g: pixelwise_ml(y, g, 0.1),
+        "noscan": lambda y, g: reconstruct_no_scan(y, g, 0.1, 2),
+        "nll": lambda y, g: neg_log_likelihood(x, y, g, 0.1),
+        "gradient": lambda y, g: nll_gradient(x, y, g, 0.1),
+    }
+    for name, method in methods.items():
+        method(counts, k)
+        with pytest.raises((TypeError, ValueError)):
+            method(cube, k)
+        with pytest.raises(AttributeError):
+            method(counts, k.temporal)
+    # maps read at bin width 1 and t0 0
+    assert methods["ml"](counts, k).depth[1, 2] == 3 * SPEED_OF_LIGHT / 2.0
 
 # --- extraction ---------------------------------------------------------
 
