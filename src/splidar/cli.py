@@ -154,9 +154,11 @@ def _cmd_reconstruct(args):
         solver = SolverConfig(**given)
     except ValueError as exc:
         raise _UsageError(f"invalid solver settings: {exc}")
+    out = Path(args.out)
+    if out.is_dir() and any(out.iterdir()):  # another run's files would stay
+        raise ValueError(f"output directory is not empty: {out}")
     cube = load_cube(args.cube)
     maps, report, volume, settings = reconstruct_cell(cube, args.method, solver)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_cell_outputs(out, maps, report, volume)
     effective = {"method": args.method, "cube": Path(args.cube).name, **settings}

@@ -56,8 +56,12 @@ KNOWN_METHODS = ("deconv3d", "ml", "noscan")
 _GRID_FIELDS = {"ppp": ["number"], "sbr": "number", "seeds": ["integer"],
                 "methods": ["string"]}
 _SPEC_FIELDS = {"scene": "object", **_GRID_FIELDS}
-# a chart scene's optional keys: make_resolution_chart's arguments
-_CHART_FIELDS = dict.fromkeys(("d_fg", "d_bg", "r_bg"), "number")
+# each scene kind's required and optional keys (io.check_fields); a chart's
+# are make_resolution_chart's arguments
+_SCENE_FIELDS = {
+    "chart": ({"kind": "string"}, dict.fromkeys(("d_fg", "d_bg", "r_bg"), "number")),
+    "dir": ({"kind": "string", "path": "string"}, {}),
+}
 
 
 def rmse(estimate, truth, mask):
@@ -100,28 +104,27 @@ def resolved_groups(contrasts):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One sweep: a scene, a scan configuration, and the method grid."""
+    """One sweep: a scene, a scan configuration, and the method grid. The
+    fields are a spec's JSON keys; scene is its JSON object, checked
+    against its kind's keys (_SCENE_FIELDS)."""
 
-    scene_kind: str  # "chart" or "dir"
+    scene: dict
     scan: ScanConfig
     ppp: tuple
     sbr: float
     seeds: tuple
     methods: tuple
     solver: SolverConfig = field(default_factory=SolverConfig)
-    scene_path: str | None = None
-    chart_args: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.scene_kind not in ("chart", "dir"):
-            raise ValueError(f"unknown scene kind: {self.scene_kind}")
-        if self.scene_kind == "dir" and not self.scene_path:
-            raise ValueError("scene kind 'dir' needs scene_path")
-        if self.scene_kind == "dir" and self.chart_args:
-            keys = ", ".join(sorted(self.chart_args))
-            raise ValueError(f"scene kind 'dir' takes no chart keys: {keys}")
-        if self.scene_kind == "chart" and self.scene_path is not None:
-            raise ValueError("scene kind 'chart' takes no path")
+        kind = self.scene.get("kind") if isinstance(self.scene, dict) else None
+        if not (isinstance(kind, str) and kind in _SCENE_FIELDS):
+            raise ValueError(f"spec: scene must be an object of kind "
+                             f"{' or '.join(_SCENE_FIELDS)}, got {self.scene!r}")
+        scene = io.check_fields(self.scene, "scene", *_SCENE_FIELDS[kind])
+        if scene.get("path") == "":
+            raise ValueError("scene: path must not be empty")
+        object.__setattr__(self, "scene", scene)
         for name, kind in (("scan", ScanConfig), ("solver", SolverConfig)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"spec: {name} must be a {kind.__name__}, "
@@ -132,18 +135,20 @@ class ExperimentSpec:
         object.__setattr__(self, "ppp", tuple(float(p) for p in grid["ppp"]))
         object.__setattr__(self, "seeds", tuple(grid["seeds"]))
         object.__setattr__(self, "methods", tuple(grid["methods"]))
-        if not self.ppp or any(not 0 < p < math.inf for p in self.ppp):
+        # each value names its cells, and ppp and seed its cubes (ppp by
+        # _fmt), so a repeated name would overwrite them
+        for key, names in (("ppp", [_fmt(p) for p in self.ppp]),
+                           ("seeds", self.seeds), ("methods", self.methods)):
+            if not names or len(set(names)) != len(names):
+                raise ValueError(f"spec: {key} must be non-empty and distinct, "
+                                 f"got {list(names)}")
+        if any(not 0 < p < math.inf for p in self.ppp):
             raise ValueError("ppp values must be positive and finite")
         if not 0 < self.sbr < math.inf:
             raise ValueError("sbr must be positive and finite")
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be non-empty and distinct")
-        if not self.methods:
-            raise ValueError("at least one method required")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method: {m}")
-        io.check_fields(self.chart_args, "scene", {}, _CHART_FIELDS)
 
     @classmethod
     def from_dict(cls, raw):
@@ -151,28 +156,15 @@ class ExperimentSpec:
         and so is a value that the spec or its configs refuse."""
         raw = io.check_fields(raw, "spec", _SPEC_FIELDS,
                               {"scan": "object", "solver": "object"})
-        scene = io.check_fields(raw["scene"], "scene", {"kind": "string"},
-                                {"path": "string", **_CHART_FIELDS})
-        scan = io.check_fields(raw.get("scan", {}), "spec scan", {}, SCAN_FIELDS)
-        solver = io.check_fields(raw.get("solver", {}), "spec solver", {},
+        scan = io.check_fields(raw.pop("scan", {}), "spec scan", {}, SCAN_FIELDS)
+        solver = io.check_fields(raw.pop("solver", {}), "spec solver", {},
                                  SOLVER_FIELDS)
-        return cls(
-            scene_kind=scene.pop("kind"),
-            scene_path=scene.pop("path", None),
-            chart_args=scene,
-            scan=ScanConfig(**scan),
-            ppp=raw["ppp"],
-            sbr=raw["sbr"],
-            seeds=raw["seeds"],
-            methods=raw["methods"],
-            solver=SolverConfig(**solver),
-        )
+        return cls(**raw, scan=ScanConfig(**scan), solver=SolverConfig(**solver))
 
     def to_dict(self):
-        scene = {"kind": self.scene_kind}
-        if self.scene_path:
-            scene["path"] = str(Path(self.scene_path).name)  # no absolute paths
-        scene.update(self.chart_args)
+        scene = dict(self.scene)
+        if "path" in scene:
+            scene["path"] = Path(scene["path"]).name  # no absolute paths
         return {
             "scene": scene,
             "scan": self.scan.to_dict(),
@@ -185,9 +177,10 @@ class ExperimentSpec:
 
 
 def _load_spec_scene(spec):
-    if spec.scene_kind == "chart":
-        return make_resolution_chart(**spec.chart_args), chart_layout()
-    scene, _ = load_scene_dir(spec.scene_path)
+    args = dict(spec.scene)
+    if args.pop("kind") == "chart":
+        return make_resolution_chart(**args), chart_layout()
+    scene, _ = load_scene_dir(args["path"])
     return scene, None
 
 

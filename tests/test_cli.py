@@ -4,6 +4,8 @@ byte-level determinism of the artifacts."""
 import filecmp
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +228,25 @@ def test_cli_defaults_are_the_types_defaults(cube_path, tmp_path):
     assert effective["solver"] == SolverConfig().to_dict()
 
 
+def test_reconstruct_refuses_a_used_output_directory(cube_path, tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()  # an existing empty directory is accepted
+    assert main(["reconstruct", str(cube_path), "--method", "deconv3d",
+                 "--max-iters", "2", "-o", str(out)]) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "volume.spr1" in written
+    capsys.readouterr()
+    # an ml run would leave the deconv3d report and volume next to its maps;
+    # it is refused before the cube is read, so a missing cube is refused too
+    for cube in (cube_path, tmp_path / "missing.sph1"):
+        assert main(["reconstruct", str(cube), "--method", "ml", "-o", str(out)]) == 1
+        assert (f"error: output directory is not empty: {out}"
+                in capsys.readouterr().err)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+    assert main(["reconstruct", str(cube_path), "--method", "ml",
+                 "-o", str(tmp_path / "new")]) == 0
+
+
 def test_reconstruct_missing_cube_is_runtime_error(tmp_path):
     rc = main([
         "reconstruct", str(tmp_path / "missing.sph1"),
@@ -415,6 +436,14 @@ def test_experiment_bad_spec_is_usage_error(tmp_path, capsys):
         raw[key] = value
         stale.write_text(json.dumps(raw))
         assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
+    # a repeated grid value would write two rows to one cell directory
+    for key, value in (("methods", ["ml", "ml"]), ("seeds", [0, 0]),
+                       ("ppp", [8, 8.0]), ("ppp", [1.0, 1.00000000001])):
+        raw = experiment_spec_dict(tmp_path)
+        raw[key] = value
+        stale.write_text(json.dumps(raw))
+        assert main(["experiment", str(stale), "-o", str(tmp_path / "o")]) == 2
+        assert "must be non-empty and distinct" in capsys.readouterr().err
     raw = experiment_spec_dict(tmp_path)
     raw["scene"] = {"kind": "dir", "path": "scène"}  # specs are read as ASCII
     stale.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
@@ -474,8 +503,27 @@ def test_experiment_refuses_a_used_output_directory(scene_dir, tmp_path, capsys)
     assert not (out / "cells" / "ml_ppp8_seed1").exists()
     assert not (out / "cubes" / "ppp8_seed1.sph1").exists()
 
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests alone
     loaded = _run_python("import sys, splidar, splidar.cli; print(sorted("
                          "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert loaded.strip() == "[]"
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # the README's Quick start block as written, each command through
+    # cli.main in a fresh working directory
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```sh\n(.*?)^```$", section, re.S | re.M)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    assert lines[-1].startswith("splidar render")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "splidar", line
+        assert main(argv) == 0, line
+    assert (tmp_path / "depth.ppm").stat().st_size > 0
+    capsys.readouterr()

@@ -3,6 +3,7 @@
 import filecmp
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +125,7 @@ def test_readme_python_api_runs(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
@@ -259,7 +260,7 @@ def small_scan():
 
 def test_spec_validation():
     ok = dict(
-        scene_kind="chart",
+        scene={"kind": "chart"},
         scan=ScanConfig(**small_scan()),
         ppp=(2.0,),
         sbr=1.0,
@@ -267,22 +268,33 @@ def test_spec_validation():
         methods=("ml",),
     )
     ExperimentSpec(**ok)
-    with pytest.raises(ValueError):
-        ExperimentSpec(**{**ok, "scene_kind": "nope"})
-    with pytest.raises(ValueError):
-        ExperimentSpec(**{**ok, "scene_kind": "dir"})  # missing path
-    with pytest.raises(ValueError):
-        ExperimentSpec(**{**ok, "methods": ("cnn",)})
-    with pytest.raises(ValueError):
-        ExperimentSpec(**{**ok, "seeds": (1, 1)})
-    with pytest.raises(ValueError):
-        ExperimentSpec(**{**ok, "ppp": ()})
-    with pytest.raises(ValueError):
-        ExperimentSpec(**{**ok, "sbr": 0.0})
+    for key, bad in (
+        ("scene", {"kind": "nope"}),
+        ("scene", {"kind": ["chart"]}),
+        ("scene", "chart"),
+        ("scene", {"d_fg": 3.0}),
+        ("scene", {"kind": "dir"}),  # missing path
+        ("scene", {"kind": "dir", "path": ""}),
+        ("scene", {"kind": "dir", "path": "scene", "d_fg": 3.0}),
+        ("scene", {"kind": "chart", "path": "scene"}),
+        ("scene", {"kind": "chart", "r_bg": "0"}),
+        ("methods", ("cnn",)),
+        ("methods", ("ml", "ml")),
+        ("seeds", (1, 1)),
+        ("ppp", ()),
+        ("ppp", (10, 10.0)),
+        # distinct floats, one cell name: ppp1 (%.10g)
+        ("ppp", (1.0, 1.00000000001)),
+        ("sbr", 0.0),
+    ):
+        with pytest.raises(ValueError):
+            ExperimentSpec(**{**ok, key: bad})
+    # ppp values apart at 10 significant digits name different cells
+    assert ExperimentSpec(**{**ok, "ppp": (1.0, 1.000000001)}).ppp == (1.0, 1.000000001)
 
 
 def test_spec_refuses_wrong_kinds():
-    ok = dict(scene_kind="chart", scan=ScanConfig(**small_scan()), ppp=(2.0,),
+    ok = dict(scene={"kind": "chart"}, scan=ScanConfig(**small_scan()), ppp=(2.0,),
               sbr=1.0, seeds=(0,), methods=("ml",))
     for key, bad, where in (("seeds", (1.5,), "seeds[0]"), ("ppp", ("2",), "ppp[0]"),
                             ("sbr", True, "sbr"), ("methods", (1,), "methods[0]"),
@@ -307,7 +319,7 @@ def test_spec_dict_round_trip(tmp_path):
     spec = ExperimentSpec.from_dict(raw)
     assert spec.ppp == (1.0, 4.0)
     assert spec.solver.beta == 0.05
-    assert spec.chart_args == {"d_fg": 2.5, "d_bg": 4.0}
+    assert spec.scene == {"kind": "chart", "d_fg": 2.5, "d_bg": 4.0}
     d = spec.to_dict()
     assert d["scene"]["d_fg"] == 2.5
     assert d["solver"]["max_iters"] == 7
@@ -319,13 +331,22 @@ def test_shipped_specs_parse():
     specs = sorted((Path(__file__).parent.parent / "experiments").glob("*.json"))
     assert specs
     for path in specs:
-        ExperimentSpec.from_dict(json.loads(path.read_text()))
+        raw = json.loads(path.read_text())
+        spec = ExperimentSpec.from_dict(raw)
+        # the manifest's spec block: it parses back to the same spec, and it
+        # gives every key of the file with the file's value
+        d = spec.to_dict()
+        assert ExperimentSpec.from_dict(d) == spec, path.name
+        for key, value in raw.items():
+            if isinstance(value, dict):
+                assert value.items() <= d[key].items(), (path.name, key)
+            else:
+                assert d[key] == value, (path.name, key)
 
 
 def test_spec_to_dict_strips_directories(tmp_path):
     spec = ExperimentSpec(
-        scene_kind="dir",
-        scene_path=str(tmp_path / "deep" / "scenedir"),
+        scene={"kind": "dir", "path": str(tmp_path / "deep" / "scenedir")},
         scan=ScanConfig(**small_scan()),
         ppp=(1.0,),
         sbr=1.0,
@@ -333,6 +354,9 @@ def test_spec_to_dict_strips_directories(tmp_path):
         methods=("ml",),
     )
     assert spec.to_dict()["scene"]["path"] == "scenedir"
+    # a dir spec round-trips through the basename of its path
+    assert ExperimentSpec.from_dict(spec.to_dict()) == replace(
+        spec, scene={"kind": "dir", "path": "scenedir"})
 
 
 # --- harness ------------------------------------------------------------
@@ -356,8 +380,7 @@ def tiny_scene_dir(tmp_path_factory):
 
 def tiny_spec(tiny_dir, **over):
     base = dict(
-        scene_kind="dir",
-        scene_path=str(tiny_dir),
+        scene={"kind": "dir", "path": str(tiny_dir)},
         scan=ScanConfig(**small_scan()),
         ppp=(8.0,),
         sbr=2.0,

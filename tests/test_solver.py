@@ -533,6 +533,14 @@ def test_methods_take_bare_counts_and_a_kernel():
             method(counts, k.temporal)
     # maps read at bin width 1 and t0 0
     assert methods["ml"](counts, k).depth[1, 2] == 3 * SPEED_OF_LIGHT / 2.0
+    # a NaN or a negative count is refused wherever it sits, also at a scan
+    # position that noscan drops (factor 2 keeps rows and columns 0 and 2)
+    for bad in (np.nan, -1.0):
+        y = counts.astype(np.float64)
+        y[1, 1, 0] = bad
+        for method in methods.values():
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                method(y, k)
 
 # --- extraction ---------------------------------------------------------
 
