@@ -82,7 +82,7 @@ def reconstruct_no_scan(counts, kernel, b, factor, window_half=None):
     if int(factor) != factor or factor < 1:
         raise ValueError(f"factor must be an integer >= 1, got {factor}")
     factor = int(factor)
-    counts = _count_parts(counts, b)  # every scan position, kept or not
+    counts = _count_parts(counts, b, cast=False)  # every scan position; no float64 copy
     h, w, _ = counts.shape
     if h % factor or w % factor:
         raise ValueError(f"factor {factor} does not divide {h}x{w}")

@@ -10,6 +10,7 @@ outputs they describe.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -36,8 +37,7 @@ class _UsageError(Exception):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:
@@ -48,6 +48,7 @@ def main(argv=None):
         return RUNTIME_ERROR
 
 
+@functools.cache  # once per process: parse_args keeps no state between calls
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="splidar",

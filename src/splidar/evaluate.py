@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -106,9 +107,10 @@ def resolved_groups(contrasts):
 class ExperimentSpec:
     """One sweep: a scene, a scan configuration, and the method grid. The
     fields are a spec's JSON keys; scene is its JSON object, checked
-    against its kind's keys (_SCENE_FIELDS)."""
+    against its kind's keys (_SCENE_FIELDS) and held as a read-only view
+    (so a spec is hashable, on its other fields)."""
 
-    scene: dict
+    scene: MappingProxyType = field(hash=False)
     scan: ScanConfig
     ppp: tuple
     sbr: float
@@ -117,14 +119,17 @@ class ExperimentSpec:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        kind = self.scene.get("kind") if isinstance(self.scene, dict) else None
+        scene = self.scene
+        if isinstance(scene, MappingProxyType):  # another spec's, as replace() passes it
+            scene = dict(scene)
+        kind = scene.get("kind") if isinstance(scene, dict) else None
         if not (isinstance(kind, str) and kind in _SCENE_FIELDS):
             raise ValueError(f"spec: scene must be an object of kind "
-                             f"{' or '.join(_SCENE_FIELDS)}, got {self.scene!r}")
-        scene = io.check_fields(self.scene, "scene", *_SCENE_FIELDS[kind])
+                             f"{' or '.join(_SCENE_FIELDS)}, got {scene!r}")
+        scene = io.check_fields(scene, "scene", *_SCENE_FIELDS[kind])
         if scene.get("path") == "":
             raise ValueError("scene: path must not be empty")
-        object.__setattr__(self, "scene", scene)
+        object.__setattr__(self, "scene", MappingProxyType(scene))
         for name, kind in (("scan", ScanConfig), ("solver", SolverConfig)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"spec: {name} must be a {kind.__name__}, "

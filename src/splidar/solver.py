@@ -13,7 +13,11 @@ approximated by dual fixed-point iterations, run in place in one flat float32
 workspace that holds both dual fields. A solve allocates that workspace once,
 so the dual fields carry over from each trial step, accepted or rejected, to
 the next and a prox call starts where the previous one stopped; they start
-from zero in every solve, so reruns stay byte-identical. After the first
+from zero in every solve, so reruns stay byte-identical. A solve also
+allocates the prox's scratch (ProxScratch) and one float64 volume for its
+trial steps once, and writes the temporaries of its objective, gradient and
+step sizes into them: a trial step allocates only the prox's output, its
+Lambda and the TV penalty's differences. After the first
 accepted iteration a prox call stops early once its duality gap, which bounds
 its error, is small next to the last accepted decrease of the objective (an
 inexact proximal-gradient step: Schmidt, Le Roux and Bach, 2011; Villa,
@@ -22,6 +26,7 @@ Salzo, Baldassarre and Verri, 2013); otherwise it runs to its cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -94,33 +99,52 @@ class Maps:
     valid: np.ndarray = field(repr=False)
 
 
-def _count_parts(y, b):
-    """The bare (H, W, T) count array y as float64, checked finite and
-    non-negative, after checking the background b."""
+def _count_parts(y, b, cast=True):
+    """The bare (H, W, T) count array y, checked finite and non-negative
+    after checking the background b: as float64, or with cast=False in its
+    own dtype if that is an integer one. Integer counts need only their
+    minimum checked; read from the float64 copy when there is one, as a
+    contiguous pass is faster than one over a strided integer view."""
     if not np.isfinite(b) or b < 0:
         raise ValueError(f"background must be finite and non-negative, got {b}")
-    counts = np.asarray(y, dtype=np.float64)
+    counts = np.asarray(y)
+    integers = counts.dtype.kind in "biu"
+    if cast or not integers:
+        counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 3:
         raise ValueError(f"expected 3D counts, got {counts.shape}")
-    if not (np.isfinite(counts).all() and (counts >= 0).all()):
+    if integers:
+        ok = counts.size == 0 or counts.min() >= 0
+    else:
+        ok = np.isfinite(counts).all() and (counts >= 0).all()
+    if not ok:
         raise ValueError("counts must be finite and non-negative")
     return counts
 
 
-def _dot(a, b):
+def _dot(a, b, work):
     """Inner product by numpy's pairwise summation rather than BLAS, so the
-    result does not depend on the BLAS thread count."""
-    return float(np.multiply(a, b).sum())
+    result does not depend on the BLAS thread count; the products go to the
+    float64 scratch work."""
+    return float(np.multiply(a, b, out=work).sum())
 
 
-def _nll_of_lambda(lam, counts):
-    return float(
-        np.sum(lam) - np.sum(counts * np.log(np.maximum(lam, _EPSILON_FLOOR)))
-    )
+def _nll_of_lambda(lam, counts, work):
+    """sum(Lambda - Y log(max(Lambda, floor))), the log terms computed in
+    the float64 scratch work."""
+    np.maximum(lam, _EPSILON_FLOOR, out=work)
+    np.log(work, out=work)
+    np.multiply(counts, work, out=work)
+    return float(np.sum(lam) - np.sum(work))
 
 
-def _nll_gradient_of_lambda(lam, counts, g):
-    return convolve3d_adjoint(g, 1.0 - counts / np.maximum(lam, _EPSILON_FLOOR))
+def _nll_gradient_of_lambda(lam, counts, g, work):
+    """convolve3d_adjoint of 1 - Y / max(Lambda, floor), the ratio computed in
+    the float64 scratch work."""
+    np.maximum(lam, _EPSILON_FLOOR, out=work)
+    np.divide(counts, work, out=work)
+    np.subtract(1.0, work, out=work)
+    return convolve3d_adjoint(g, work)
 
 
 def neg_log_likelihood(rd, y, g, b):
@@ -134,7 +158,7 @@ def neg_log_likelihood(rd, y, g, b):
     if x.shape != counts.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {counts.shape}")
     lam = convolve3d(g, x, b)
-    return _nll_of_lambda(lam, counts)
+    return _nll_of_lambda(lam, counts, np.empty(lam.shape))
 
 
 def nll_gradient(rd, y, g, b):
@@ -143,7 +167,8 @@ def nll_gradient(rd, y, g, b):
     counts = _count_parts(y, b)
     if x.shape != counts.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {counts.shape}")
-    return _nll_gradient_of_lambda(convolve3d(g, x, b), counts, g)
+    lam = convolve3d(g, x, b)
+    return _nll_gradient_of_lambda(lam, counts, g, np.empty(lam.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +183,39 @@ def tv_penalty(rd):
     return float(np.abs(x[1:] - x[:-1]).sum() + np.abs(x[:, 1:] - x[:, :-1]).sum())
 
 
-def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None, gap_target=None):
+class ProxScratch:
+    """The scratch buffers of prox_tv_nonneg for one (H, W, T) shape, and
+    the flat views over them that its dual loop steps through.
+
+    A call overwrites every entry it reads (the zero entries of step are
+    never written), so the output does not depend on what a scratch held,
+    and one scratch serves any sequence of calls on volumes of its shape:
+    spiral_solve builds one per solve. Buffers, n = H*W*T voxels:
+
+    - step (2n float32): the two fields' dual steps, p1's then p2's; p1's
+      last row and p2's last column (the wrap across a row end) stay zero;
+    - u (n float32): div p, then the residual div p - v/weight;
+    - vw (n float32): v/weight;
+    - work (n float64): the objective evaluations' scratch, free between
+      calls, so spiral_solve writes its own temporaries there too.
+    """
+
+    def __init__(self, shape):
+        height, width, slices = self.shape = tuple(shape)
+        n = height * width * slices
+        row, col = width * slices, slices  # flat strides of the row and column axes
+        self.step = np.zeros(2 * n, dtype=np.float32)
+        self.g1, self.g2 = self.step[: n - row], self.step[n : 2 * n - col]
+        self.g2_wrap = self.step[n:].reshape(shape)[:, -1]  # differences across a row end
+        self.u = np.empty(n, dtype=np.float32)
+        self.u_rows = self.u[row:], self.u[: n - row]
+        self.u_cols = self.u[col:], self.u[: n - col]
+        self.vw = np.empty(n, dtype=np.float32)
+        self.work = np.empty(shape)
+
+
+def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None, gap_target=None,
+                   scratch=None):
     """Approximate argmin_{x >= 0} 0.5||x - v||^2 + weight * TV(x).
 
     Runs up to inner_iters projected dual fixed-point iterations (dual
@@ -197,6 +254,11 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None, gap_target=None):
     the starting fields, so a rerun of the same sequence of calls gives the
     same bytes.
 
+    scratch, if given, is a ProxScratch of v's shape that the call uses for
+    its working memory; scratch=None builds one. Given a dual and a scratch,
+    a call allocates only its output (and, when the safeguard replaces
+    slices, their max(v, 0)).
+
     The dual loop runs in float32; it is the hot path of the solve, and the
     slice comparison (done in float64) absorbs the rounding. Flattened, the
     workspace is one buffer, so each field shifted back by one row (p1,
@@ -220,10 +282,15 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None, gap_target=None):
         and dual.flags.c_contiguous  # else reshape(-1) would copy
     ):
         raise ValueError(f"dual must be a C-contiguous float32 array of shape {shape}")
-    clipped = np.maximum(vol, 0.0)
+    if scratch is not None and not (
+        isinstance(scratch, ProxScratch) and scratch.shape == vol.shape
+    ):
+        raise ValueError(f"scratch must be a ProxScratch of shape {vol.shape}")
     if weight == 0 or inner_iters == 0:
         dual.fill(0.0)
-        return clipped
+        return np.maximum(vol, 0.0)
+    if scratch is None:
+        scratch = ProxScratch(vol.shape)
     n = vol.size
     row, col = width * slices, slices  # flat strides of the row and column axes
     fields = dual.reshape(-1)
@@ -233,21 +300,19 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None, gap_target=None):
     dual[0] = 0.0  # the zero row
     dual[height] = 0.0  # p1's last row
     dual[height + 1 :, -1] = 0.0  # p2's last column
-    step = np.zeros(2 * n, dtype=np.float32)
-    g1, g2 = step[: n - row], step[n : 2 * n - col]  # p1's last row: no step
-    g2_wrap = step[n:].reshape(vol.shape)[:, -1]  # differences across a row end
-    u = np.empty(n, dtype=np.float32)
-    vw = np.empty(n, dtype=np.float32)
+    step, g1, g2, g2_wrap = scratch.step, scratch.g1, scratch.g2, scratch.g2_wrap
+    u, vw, work = scratch.u, scratch.vw, scratch.work
+    (u_row, u_row_prev), (u_col, u_col_prev) = scratch.u_rows, scratch.u_cols
     # the float64 quotient, rounded to float32 as astype would
     np.divide(vol, weight, out=vw.reshape(vol.shape))
-    x = np.empty(vol.shape)  # the primal, then the output
-    work = np.empty(vol.shape)  # float64 scratch of the objective evaluations
-    check = None if gap_target is None else _PROX_GAP_CHECK
+    x = np.maximum(vol, 0.0)  # the safeguard's fallback, then the primal and output
+    bound = _slice_objectives(x, vol, weight, work)
+    check = inner_iters if gap_target is None else min(_PROX_GAP_CHECK, inner_iters)
     for it in range(inner_iters + 1):
         np.subtract(p1, p1_prev, out=u)  # u = div p, the adjoint of -grad
         u += p2
         u -= p2_prev
-        if it in (inner_iters, check):
+        if it == check:
             # x = max(v - weight * u, 0), with u widened to float64 first
             np.multiply(u.reshape(vol.shape), weight, out=x, dtype=np.float64)
             np.subtract(vol, x, out=x)
@@ -260,17 +325,20 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None, gap_target=None):
             gap += 0.5 * float(np.square(x, out=work).sum())
             if gap <= gap_target:
                 break
+            check = inner_iters
         u -= vw
-        np.subtract(u[row:], u[: n - row], out=g1)
-        np.subtract(u[col:], u[: n - col], out=g2)
-        g2_wrap[...] = 0.0
+        np.subtract(u_row, u_row_prev, out=g1)
+        np.subtract(u_col, u_col_prev, out=g2)
+        g2_wrap.fill(0.0)
         step *= _PROX_TAU
         live += step
-        np.clip(live, -1.0, 1.0, out=live)
+        live.clip(-1.0, 1.0, out=live)
     # "not <=" also replaces a slice whose float32 dual loop overflowed to NaN
-    ok = objective <= _slice_objectives(clipped, vol, weight, work)
-    x[:, :, ~ok] = clipped[:, :, ~ok]
-    dual[:, :, ~ok] = 0.0
+    ok = objective <= bound
+    if not ok.all():
+        replaced = ~ok
+        x[:, :, replaced] = np.maximum(vol[:, :, replaced], 0.0)
+        dual[:, :, replaced] = 0.0
     return x
 
 
@@ -354,11 +422,14 @@ def spiral_solve(y, g, b, config=None, init=None):
             raise ValueError("init must be finite")
         x = np.maximum(x, 0.0)
 
-    lam = convolve3d(g, x, b)
-    phi = _nll_of_lambda(lam, counts) + beta * tv_penalty(x)
-    trace = [phi]
     height, width, slices = counts.shape
     dual = np.zeros((2 * height + 1, width, slices), np.float32)  # zero row, p1, p2
+    scratch = ProxScratch(counts.shape)
+    work = scratch.work  # free between prox calls: the solve's own temporaries
+    trial = np.empty(counts.shape)  # the prox's input x - grad/alpha, then the step
+    lam = convolve3d(g, x, b)
+    phi = _nll_of_lambda(lam, counts, work) + beta * tv_penalty(x)
+    trace = [phi]
     trial_steps = 0
     backtracks = []
     alpha = _STEP_INIT
@@ -366,18 +437,20 @@ def spiral_solve(y, g, b, config=None, init=None):
     rel_change = float("inf")
 
     for _ in range(config.max_iters):
-        grad = _nll_gradient_of_lambda(lam, counts, g)
+        grad = _nll_gradient_of_lambda(lam, counts, g, work)
         if backtracks:  # alpha holds the last accepted inverse step
-            dx = x - prev_x
-            dg = grad - prev_grad
-            curv = _dot(dx, dg)
+            # the previous iterate and gradient are not read again, so the
+            # differences overwrite them
+            dx = np.subtract(x, prev_x, out=prev_x)
+            dg = np.subtract(grad, prev_grad, out=prev_grad)
+            curv = _dot(dx, dg, work)
             if len(backtracks) % 2:  # BB1, <dx, dg> / <dx, dx>
-                numer, denom = curv, _dot(dx, dx)
+                numer, denom = curv, _dot(dx, dx, work)
             else:  # BB2, <dg, dg> / <dx, dg>
-                numer, denom = _dot(dg, dg), curv
+                numer, denom = _dot(dg, dg, work), curv
             if denom > 0 and numer > 0:
                 alpha = numer / denom
-        alpha = float(np.clip(alpha, *_STEP_BOUNDS))
+        alpha = min(max(alpha, _STEP_BOUNDS[0]), _STEP_BOUNDS[1])
 
         for doublings in range(_MAX_DOUBLINGS + 1):
             # the prox may stop once alpha times its gap, its error in
@@ -385,13 +458,15 @@ def spiral_solve(y, g, b, config=None, init=None):
             target = None
             if backtracks:
                 target = _PROX_GAP_KAPPA * (trace[-2] - trace[-1]) / alpha
-            x_new = prox_tv_nonneg(x - grad / alpha, beta / alpha, dual=dual,
-                                   gap_target=target)
+            np.divide(grad, alpha, out=trial)
+            np.subtract(x, trial, out=trial)
+            x_new = prox_tv_nonneg(trial, beta / alpha, dual=dual,
+                                   gap_target=target, scratch=scratch)
             trial_steps += 1
-            step = x_new - x
-            step_sq = _dot(step, step)
+            step = np.subtract(x_new, x, out=trial)
+            step_sq = _dot(step, step, work)
             lam_new = convolve3d(g, x_new, b)
-            phi_new = _nll_of_lambda(lam_new, counts) + beta * tv_penalty(x_new)
+            phi_new = _nll_of_lambda(lam_new, counts, work) + beta * tv_penalty(x_new)
             if phi_new <= phi - _ACCEPT_SIGMA * (alpha / 2.0) * step_sq:
                 break
             alpha *= _BACKTRACK_ETA
@@ -399,7 +474,8 @@ def spiral_solve(y, g, b, config=None, init=None):
             converged = True
             break
 
-        rel_change = np.sqrt(step_sq) / max(np.sqrt(_dot(x, x)), _EPSILON_FLOOR)
+        norm = math.sqrt(_dot(x, x, work))
+        rel_change = math.sqrt(step_sq) / max(norm, _EPSILON_FLOOR)
         prev_x, prev_grad = x, grad
         x, lam, phi = x_new, lam_new, phi_new
         trace.append(phi)

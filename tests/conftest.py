@@ -14,9 +14,15 @@ from splidar.scene import load_scene_dir
 # Property tests draw the same examples on every run and keep no example
 # database, so tier-1 stays reproducible. Hypothesis still caches the
 # constants it mines from source files; that cache goes to a directory
-# removed at exit instead of .hypothesis/ in the working tree.
+# removed at exit instead of .hypothesis/ in the working tree. The
+# splidar-deep profile draws 10x the examples, as derandomized; select it
+# with --hypothesis-profile=splidar-deep (CI runs the byte-identity
+# properties under it).
 settings.register_profile(
     "splidar", derandomize=True, database=None, deadline=None, max_examples=40
+)
+settings.register_profile(
+    "splidar-deep", settings.get_profile("splidar"), max_examples=400
 )
 settings.load_profile("splidar")
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splidar.cli import main
+from splidar.cli import _build_parser, main
 from splidar.forward import ScanConfig
 from splidar.io import read_map, read_pfm, write_pfm, write_pgm
 from splidar.scene import load_scene_dir, make_resolution_chart
@@ -281,6 +281,32 @@ def test_render_gray_and_sentinel(tmp_path):
             "render", str(tmp_path / "m.pgm"), "-o", str(bad), "--depth-range", lo, hi,
         ]) == 2
         assert not bad.exists()
+
+
+def test_main_runs_repeatedly_on_one_parser(cube_path, tmp_path, capsys):
+    # the parser is built once per process; each call still parses its own
+    # arguments from the defaults up, returns its own exit code and writes
+    # its own outputs
+    assert _build_parser() is _build_parser()
+    out = tmp_path / "maps"
+    with pytest.raises(SystemExit) as exc:  # argparse: --method is required
+        main(["reconstruct", str(cube_path), "-o", str(out)])
+    assert exc.value.code == 2
+    assert main(["reconstruct", str(cube_path), "--method", "ml", "--beta", "0.1",
+                 "-o", str(out)]) == 2
+    assert "--beta apply to --method deconv3d only" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["reconstruct", str(cube_path), "--method", "ml", "-o", str(out)]) == 0
+    assert json.loads((out / "reconstruct.json").read_text())["method"] == "ml"
+    assert not (out / "report.json").exists()
+    fire, gray = tmp_path / "fire.ppm", tmp_path / "gray.ppm"
+    assert main(["render", str(out / "reflectivity.pgm"), "-o", str(fire),
+                 "--colormap", "fire", "--depth-range", "0", "1000"]) == 0
+    assert main(["render", str(out / "reflectivity.pgm"), "-o", str(gray)]) == 0
+    rgb = read_ppm(gray)  # the defaults again: gray over the valid min/max
+    assert (rgb[..., 0] == rgb[..., 1]).all() and rgb.max() == 255
+    assert read_ppm(fire).max() < 255  # values far below 1000
+    assert main(["render", str(out / "missing.pgm"), "-o", str(tmp_path / "x.ppm")]) == 1
 
 
 def test_render_fire_colormap_endpoints(tmp_path):

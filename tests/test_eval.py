@@ -327,6 +327,19 @@ def test_spec_dict_round_trip(tmp_path):
     assert spec2 == spec
 
 
+def test_spec_scene_is_read_only():
+    spec = ExperimentSpec.from_dict({"scene": {"kind": "chart", "d_fg": 2.5},
+                                     "scan": small_scan(), "ppp": [1], "sbr": 0.5,
+                                     "seeds": [0], "methods": ["ml"]})
+    before = json.dumps(spec.to_dict())
+    with pytest.raises(TypeError):
+        spec.scene["path"] = "x"
+    assert json.dumps(spec.to_dict()) == before
+    # hashable, on the fields other than the scene, and replace() keeps it
+    assert hash(spec) == hash(ExperimentSpec.from_dict(spec.to_dict()))
+    assert replace(spec, seeds=(1,)).scene == spec.scene
+
+
 def test_shipped_specs_parse():
     specs = sorted((Path(__file__).parent.parent / "experiments").glob("*.json"))
     assert specs

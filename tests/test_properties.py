@@ -27,6 +27,7 @@ from splidar.forward import (
 from splidar.scene import SPEED_OF_LIGHT
 from splidar.solver import (
     _PROX_GAP_CHECK,
+    ProxScratch,
     SolverConfig,
     _slice_objectives,
     prox_tv_nonneg,
@@ -264,6 +265,44 @@ def test_prox_matches_the_sliced_reference_byte_for_byte(shape, seed, kind,
     v = _prox_input(rng, shape, kind)
     dual = _starting_dual(rng, shape, start)
     _assert_prox_matches_reference(v, weight, inner_iters, dual)
+
+
+@given(
+    st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 12)),
+    seeds,
+    st.sampled_from(["dense", "sparse", "non-positive", "signed zeros"]),
+    st.lists(st.tuples(st.floats(1e-3, 5.0), st.one_of(st.none(), st.floats(0.0, 0.5))),
+             min_size=1, max_size=6),
+)
+@example((6, 5, 4), 0, "dense", [(0.5, None), (0.25, 0.0), (0.125, 0.5), (1.0, 1e-3)])
+def test_prox_calls_sharing_one_workspace_match_the_reference(shape, seed, kind, calls):
+    # a sequence of calls as spiral_solve makes them: one dual workspace and
+    # one scratch, nearby inputs, varying weights and gap targets (None, as
+    # in a solve's first iteration, or a fraction of the objective at
+    # max(v, 0)). Each call returns, and leaves in the workspace, the bytes
+    # of the reference started from the fields the call started from, run
+    # for the 5 iterations of a stop at the gap check or to the cap, and of
+    # a call with its own workspace capped there.
+    rng = np.random.default_rng(seed)
+    dual = np.zeros((2 * shape[0] + 1,) + shape[1:], np.float32)
+    scratch = ProxScratch(shape)
+    zero = np.zeros((1,) + shape[1:], np.float32)
+    v = _prox_input(rng, shape, kind)
+    for weight, fraction in calls:
+        v = v + 0.3 * rng.standard_normal(shape)  # the next trial's input
+        target = None
+        if fraction is not None:
+            target = fraction * _slice_objective(np.maximum(v, 0.0), v, weight).sum()
+        start = dual.copy()
+        x = prox_tv_nonneg(v, weight, dual=dual, gap_target=target, scratch=scratch)
+        for iters in ([20] if target is None else [_PROX_GAP_CHECK, 20]):
+            expected, p1, p2 = _reference_prox(v, weight, iters, start)
+            if (x.tobytes() == expected.tobytes()
+                    and dual.tobytes() == np.concatenate([zero, p1, p2]).tobytes()):
+                break
+        else:
+            pytest.fail(f"no reference stop matches the call (target {target})")
+        assert prox_tv_nonneg(v, weight, iters, dual=start).tobytes() == x.tobytes()
 
 
 def test_prox_matches_the_sliced_reference_on_the_chart_shape():

@@ -22,6 +22,7 @@ from splidar.solver import (
     load_volume,
     neg_log_likelihood,
     nll_gradient,
+    ProxScratch,
     prox_tv_nonneg,
     save_volume,
     spiral_solve,
@@ -177,6 +178,12 @@ def test_prox_weight_zero_is_projection():
             prox_tv_nonneg(v, 0.5, dual=bad)
         with pytest.raises(ValueError, match="dual"):
             prox_tv_nonneg(v, 0.0, dual=bad)
+    # a scratch of another shape, or a bare array, is refused
+    for bad in (ProxScratch((5, 6, 4)), ProxScratch((6, 5, 3)), np.zeros(v.shape)):
+        with pytest.raises(ValueError, match="scratch"):
+            prox_tv_nonneg(v, 0.5, scratch=bad)
+        with pytest.raises(ValueError, match="scratch"):
+            prox_tv_nonneg(v, 0.0, scratch=bad)
 
 
 def test_prox_constant_volume_unchanged():
@@ -433,6 +440,22 @@ def test_a_stalled_solve_ends_converged(natural_scene_dir):
     assert rep.trial_steps == rep.iterations + sum(rep.backtracks) + 51
 
 
+def test_a_solve_keeps_its_outputs_after_the_next_solve():
+    # the per-solve buffers are not shared: a second solve, of another
+    # cube, leaves the first one's volume and report as they were
+    cfg = ScanConfig(n=1, jitter_fwhm=1e-9, bin_width=1.6e-9, n_bins=16,
+                     sbr_window=25e-9)
+    k, sol = make_kernel(cfg), SolverConfig(beta=0.02, max_iters=6)
+    cubes = [simulate(Scene(reflectivity=np.full((6, 6), r), depth=np.full((6, 6), d)),
+                      cfg, ppp=5.0, sbr=0.5, seed=s)
+             for r, d, s in ((0.5, 1.5, 3), (0.8, 2.0, 4))]
+    vol, rep = spiral_solve(cubes[0].counts, k, cubes[0].background_per_bin, sol)
+    data, report = vol.data.tobytes(), json.dumps(rep.to_dict())
+    other, _ = spiral_solve(cubes[1].counts, k, cubes[1].background_per_bin, sol)
+    assert other.data.tobytes() != data
+    assert vol.data.tobytes() == data and json.dumps(rep.to_dict()) == report
+
+
 def test_solve_deterministic():
     scene = Scene(
         reflectivity=np.full((6, 6), 0.5), depth=np.full((6, 6), 1.5)
@@ -534,9 +557,11 @@ def test_methods_take_bare_counts_and_a_kernel():
     # maps read at bin width 1 and t0 0
     assert methods["ml"](counts, k).depth[1, 2] == 3 * SPEED_OF_LIGHT / 2.0
     # a NaN or a negative count is refused wherever it sits, also at a scan
-    # position that noscan drops (factor 2 keeps rows and columns 0 and 2)
-    for bad in (np.nan, -1.0):
-        y = counts.astype(np.float64)
+    # position that noscan drops (factor 2 keeps rows and columns 0 and 2),
+    # and integer counts are checked in their own dtype
+    for bad, dtype in ((np.nan, np.float64), (-1.0, np.float64), (-1, np.int64),
+                       (-1, np.int8)):
+        y = counts.astype(dtype)
         y[1, 1, 0] = bad
         for method in methods.values():
             with pytest.raises(ValueError, match="finite and non-negative"):
