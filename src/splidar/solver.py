@@ -14,11 +14,12 @@ workspace that holds both dual fields. A solve allocates that workspace once,
 so the dual fields carry over from each trial step, accepted or rejected, to
 the next and a prox call starts where the previous one stopped; they start
 from zero in every solve, so reruns stay byte-identical. A solve also
-allocates the prox's scratch (ProxScratch) and one float64 volume for its
-trial steps once, and writes the temporaries of its objective, gradient and
-step sizes into them: a trial step allocates only the prox's output, its
-Lambda and the TV penalty's differences. After the first
-accepted iteration a prox call stops early once its duality gap, which bounds
+allocates the rest of the prox's working memory (ProxScratch) and one
+float64 trial volume once, and writes the temporaries of its objective,
+gradient and step sizes into them: a prox call allocates only its output,
+and a trial step adds only what convolve3d (Lambda and one intermediate)
+and tv_penalty (its differences) allocate. After the first accepted
+iteration a prox call stops early once its duality gap, which bounds
 its error, is small next to the last accepted decrease of the objective (an
 inexact proximal-gradient step: Schmidt, Le Roux and Bach, 2011; Villa,
 Salzo, Baldassarre and Verri, 2013); otherwise it runs to its cap.
@@ -201,7 +202,8 @@ class ProxScratch:
     """
 
     def __init__(self, shape):
-        height, width, slices = self.shape = tuple(shape)
+        self.shape = tuple(shape)
+        height, width, slices = self.shape
         n = height * width * slices
         row, col = width * slices, slices  # flat strides of the row and column axes
         self.step = np.zeros(2 * n, dtype=np.float32)
