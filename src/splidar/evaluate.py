@@ -1,7 +1,8 @@
 """Scoring and experiment orchestration.
 
 run_experiment sweeps method x ppp x seed over one scene, simulating,
-reconstructing, and scoring each cell, and writes a deterministic results
+reconstructing, and scoring each cell (the scene's flux once, a cube per ppp
+and seed), and writes a deterministic results
 table plus a manifest of content hashes. Wall-clock numbers go to a separate
 timings file so the scored outputs are byte-identical across reruns.
 """
@@ -19,7 +20,14 @@ import numpy as np
 
 from . import io
 from .baselines import pixelwise_ml, reconstruct_no_scan
-from .forward import SCAN_FIELDS, ScanConfig, make_kernel, save_cube, simulate
+from .forward import (
+    SCAN_FIELDS,
+    ScanConfig,
+    draw_cube,
+    make_kernel,
+    save_cube,
+    scene_flux,
+)
 from .scene import (
     SPEED_OF_LIGHT,
     RDVolume,
@@ -262,6 +270,10 @@ def reconstruct_cell(cube, method, solver):
 def run_experiment(spec, out_dir):
     """Execute the sweep and persist everything under out_dir.
 
+    The scene's flux (scene_flux) is computed once, and each ppp x seed
+    cube is drawn from it (draw_cube), with the bytes of simulate; the
+    sweep holds that flux and one cube at a time.
+
     Layout: cubes/ (one per ppp x seed, shared across methods), cells/ (maps
     and solver reports per method x ppp x seed), results.csv, timings.csv,
     manifest.json. Every output except timings.csv is byte-deterministic for
@@ -278,11 +290,12 @@ def run_experiment(spec, out_dir):
     (out / "cells").mkdir(exist_ok=True)
     truth_valid = scene.reflectivity > 0
     half_bin_m = spec.scan.bin_width * SPEED_OF_LIGHT / 2.0
+    flux = scene_flux(scene, spec.scan)
 
     cells = []  # (method index, row, cell, seconds); one cube held at a time
     for ppp in spec.ppp:
         for seed in spec.seeds:
-            cube = simulate(scene, spec.scan, ppp, spec.sbr, seed)
+            cube = draw_cube(flux, spec.scan, ppp, spec.sbr, seed)
             save_cube(cube, out / "cubes" / f"ppp{_fmt(ppp)}_seed{seed}.sph1")
             for index, method in enumerate(spec.methods):
                 cell = f"{method}_ppp{_fmt(ppp)}_seed{seed}"
@@ -317,7 +330,7 @@ def run_experiment(spec, out_dir):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["cell", "seconds"])
         for _, _, cell, seconds in cells:
-            writer.writerow([cell, f"{seconds:.3f}"])
+            writer.writerow([cell, f"{seconds:.6f}"])
     _write_manifest(out, spec)
     return rows
 

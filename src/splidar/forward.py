@@ -2,6 +2,12 @@
 flux calibration to target photon budgets, and Poisson histogram sampling for
 sub-pixel-scanned acquisition.
 
+Sampling is two steps: scene_flux, the convolved spike volume of a scene
+under a scan, and draw_cube, which calibrates it to a photon budget and
+draws one cube. The first depends only on the scene and the scan, so a
+sweep over photon levels and seeds computes it once; simulate is the two
+in a row.
+
 The convolution is the Kronecker product of three band (Toeplitz) matrices,
 one per axis, applied as one blocked matrix product per axis (Hansen, Nagy
 and O'Leary, Deblurring Images, SIAM 2006, ch. 4).
@@ -279,17 +285,25 @@ class HistogramCube:
         return self.counts.shape
 
 
-def simulate(scene, config, ppp, sbr, seed):
-    """Sample a photon-count cube from a scene.
-
-    Pipeline: spike volume -> kernel convolution -> flux calibration ->
-    per-voxel Poisson draws, all from one generator seeded with seed, so a
-    seed gives the same counts bit for bit.
-    """
+def scene_flux(scene, config):
+    """The scene's expected signal flux before calibration: its spike volume
+    (scene_to_rd) convolved with the scan's kernel, as a read-only
+    (height, width, n_bins) float64 array. It depends only on the scene and
+    the scan, so every cube drawn from them can share one."""
     rd = scene_to_rd(scene, config.bin_width, config.n_bins, config.t0)
     flux = convolve3d(make_kernel(config), rd, 0.0)
+    flux.setflags(write=False)
+    return flux
+
+
+def draw_cube(flux, config, ppp, sbr, seed):
+    """One photon-count cube from a scene's flux (scene_flux): calibrate to
+    ppp and sbr, then draw Poisson counts of Lambda = alpha * flux + b from a
+    generator seeded with seed. flux is not changed."""
     alpha, background_per_bin = calibrate_flux(flux, ppp, sbr, config)
-    counts = np.random.default_rng(seed).poisson(alpha * flux + background_per_bin)
+    lam = np.multiply(flux, alpha)  # the bytes of alpha * flux + b, one buffer
+    lam += background_per_bin
+    counts = np.random.default_rng(seed).poisson(lam)
     return HistogramCube(
         counts=counts,
         config=config,
@@ -297,6 +311,18 @@ def simulate(scene, config, ppp, sbr, seed):
         rng_seed=int(seed),
         alpha=float(alpha),
     )
+
+
+def simulate(scene, config, ppp, sbr, seed):
+    """Sample a photon-count cube from a scene.
+
+    Pipeline: spike volume -> kernel convolution (scene_flux) -> flux
+    calibration -> per-voxel Poisson draws (draw_cube), all from one
+    generator seeded with seed, so a seed gives the same counts bit for bit.
+    A sweep over ppp and seeds computes the flux once and draws each cube
+    from it, with the bytes of this function.
+    """
+    return draw_cube(scene_flux(scene, config), config, ppp, sbr, seed)
 
 
 # ---------------------------------------------------------------------------

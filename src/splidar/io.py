@@ -189,14 +189,17 @@ def write_cube(path, data, meta):
     if np.issubdtype(arr.dtype, np.integer):
         if arr.size and arr.max() > np.iinfo(np.uint32).max:
             raise ValueError("counts exceed the u32 range of a count cube")
-        magic, payload = CUBE_MAGIC_COUNTS, arr.astype("<u4").tobytes()
+        magic, dtype = CUBE_MAGIC_COUNTS, "<u4"
     else:
         # "not <=" also refuses NaN, which max propagates
         if arr.size and not arr.max() <= np.finfo(np.float32).max:
             raise ValueError("volume values must be finite and within the float32 range")
-        magic, payload = CUBE_MAGIC_FLOAT, arr.astype("<f4").tobytes()
-    h, w, t = arr.shape
-    Path(path).write_bytes(_CUBE_HEADER.pack(magic, h, w, t) + payload)
+        magic, dtype = CUBE_MAGIC_FLOAT, "<f4"
+    # the samples go to the file from one row-major array, with no bytes copy
+    payload = np.ascontiguousarray(arr, dtype=dtype)
+    with open(path, "wb") as fh:
+        fh.write(_CUBE_HEADER.pack(magic, *arr.shape))
+        fh.write(payload)
     write_json_sidecar(path, meta)
 
 

@@ -18,7 +18,10 @@ allocates the rest of the prox's working memory (ProxScratch) and one
 float64 trial volume once, and writes the temporaries of its objective,
 gradient and step sizes into them: a prox call allocates only its output,
 and a trial step adds only what convolve3d (Lambda and one intermediate)
-and tv_penalty (its differences) allocate. After the first accepted
+allocates. The prox hands back the TV of its output (ProxScratch.tv), summed
+from the differences its last objective evaluation formed, so a trial step
+calls tv_penalty (which allocates its differences) only when the prox did
+not evaluate its output. After the first accepted
 iteration a prox call stops early once its duality gap, which bounds
 its error, is small next to the last accepted decrease of the objective (an
 inexact proximal-gradient step: Schmidt, Le Roux and Bach, 2011; Villa,
@@ -199,6 +202,11 @@ class ProxScratch:
     - vw (n float32): v/weight;
     - work (n float64): the objective evaluations' scratch, free between
       calls, so spiral_solve writes its own temporaries there too.
+
+    After a call, tv holds tv_penalty of its output, with its bytes, summed
+    from the differences the call's last objective evaluation formed; it is
+    None when the call returned max(v, 0) without running the loop or the
+    safeguard replaced a slice, and the caller then computes it.
     """
 
     def __init__(self, shape):
@@ -214,6 +222,7 @@ class ProxScratch:
         self.u_cols = self.u[col:], self.u[: n - col]
         self.vw = np.empty(n, dtype=np.float32)
         self.work = np.empty(shape)
+        self.tv = None
 
 
 def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None, gap_target=None,
@@ -257,9 +266,10 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None, gap_target=None,
     same bytes.
 
     scratch, if given, is a ProxScratch of v's shape that the call uses for
-    its working memory; scratch=None builds one. Given a dual and a scratch,
-    a call allocates only its output (and, when the safeguard replaces
-    slices, their max(v, 0)).
+    its working memory, and where it leaves the output's TV (scratch.tv);
+    scratch=None builds one. Given a dual and a scratch, a call allocates
+    only its output (and, when the safeguard replaces slices, their
+    max(v, 0)).
 
     The dual loop runs in float32; it is the hot path of the solve, and the
     slice comparison (done in float64) absorbs the rounding. Flattened, the
@@ -290,6 +300,8 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None, gap_target=None,
         raise ValueError(f"scratch must be a ProxScratch of shape {vol.shape}")
     if weight == 0 or inner_iters == 0:
         dual.fill(0.0)
+        if scratch is not None:
+            scratch.tv = None
         return np.maximum(vol, 0.0)
     if scratch is None:
         scratch = ProxScratch(vol.shape)
@@ -319,7 +331,7 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None, gap_target=None,
             np.multiply(u.reshape(vol.shape), weight, out=x, dtype=np.float64)
             np.subtract(vol, x, out=x)
             np.maximum(x, 0.0, out=x)
-            objective = _slice_objectives(x, vol, weight, work)
+            objective, tv = _slice_objectives(x, vol, weight, work, totals=True)
             if it == inner_iters:
                 break
             # the duality gap P(x) - D(p), with D(p) = 0.5||v||^2 - 0.5||x||^2
@@ -337,16 +349,22 @@ def prox_tv_nonneg(v, weight, inner_iters=20, *, dual=None, gap_target=None,
         live.clip(-1.0, 1.0, out=live)
     # "not <=" also replaces a slice whose float32 dual loop overflowed to NaN
     ok = objective <= bound
+    scratch.tv = tv
     if not ok.all():
         replaced = ~ok
         x[:, :, replaced] = np.maximum(vol[:, :, replaced], 0.0)
         dual[:, :, replaced] = 0.0
+        scratch.tv = None
     return x
 
 
-def _slice_objectives(x, vol, weight, work):
+def _slice_objectives(x, vol, weight, work, totals=False):
     """Per time slice, 0.5||x - vol||^2 + weight * TV(x), computed in the
-    float64 scratch work (x's shape) rather than in fresh temporaries."""
+    float64 scratch work (x's shape) rather than in fresh temporaries.
+
+    With totals, also returns tv_penalty(x): the row and column |difference|
+    arrays have the contiguous shapes that tv_penalty sums, so their whole
+    sums have its bytes."""
     height, width, slices = x.shape
     np.subtract(x, vol, out=work)
     np.square(work, out=work)
@@ -355,11 +373,15 @@ def _slice_objectives(x, vol, weight, work):
     np.subtract(x[1:], x[:-1], out=rows)
     np.abs(rows, out=rows)
     tv = _slice_sums(rows)
+    total = rows.sum() if totals else None  # before cols overwrites rows
     cols = work.reshape(-1)[: height * (width - 1) * slices]
     cols = cols.reshape(height, width - 1, slices)
     np.subtract(x[:, 1:], x[:, :-1], out=cols)
     np.abs(cols, out=cols)
-    return quad + weight * (tv + _slice_sums(cols))
+    objective = quad + weight * (tv + _slice_sums(cols))
+    if not totals:
+        return objective
+    return objective, float(total + cols.sum())
 
 
 def _slice_sums(a):
@@ -468,7 +490,8 @@ def spiral_solve(y, g, b, config=None, init=None):
             step = np.subtract(x_new, x, out=trial)
             step_sq = _dot(step, step, work)
             lam_new = convolve3d(g, x_new, b)
-            phi_new = _nll_of_lambda(lam_new, counts, work) + beta * tv_penalty(x_new)
+            tv = scratch.tv if scratch.tv is not None else tv_penalty(x_new)
+            phi_new = _nll_of_lambda(lam_new, counts, work) + beta * tv
             if phi_new <= phi - _ACCEPT_SIGMA * (alpha / 2.0) * step_sq:
                 break
             alpha *= _BACKTRACK_ETA

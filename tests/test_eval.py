@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from splidar import forward
 from splidar.baselines import pixelwise_ml
 from splidar.evaluate import (
     KNOWN_METHODS,
@@ -23,12 +24,13 @@ from splidar.evaluate import (
     rmse,
     run_experiment,
 )
-from splidar.forward import HistogramCube, ScanConfig, make_kernel, simulate
+from splidar.forward import HistogramCube, ScanConfig, make_kernel, save_cube, simulate
 from splidar.io import read_cube, sha256_file
 from splidar.scene import (
     SPEED_OF_LIGHT,
     Scene,
     chart_layout,
+    load_scene_dir,
     make_resolution_chart,
     save_scene,
 )
@@ -439,6 +441,10 @@ def test_run_experiment_layout_and_rows(tmp_path, tiny_scene_dir):
     volume, meta = read_cube(cell / "volume.spr1")
     assert volume.shape == (12, 12, hi - lo)
     assert meta["t0"] == lo * 1.6e-9
+    # a cell's seconds in microseconds
+    timings = (out / "timings.csv").read_text().splitlines()
+    assert timings[0] == "cell,seconds" and len(timings) == 1 + len(rows)
+    assert all(re.fullmatch(r"\w+,\d+\.\d{6}", line) for line in timings[1:])
 
 
 def test_run_experiment_deterministic_reruns(tmp_path, tiny_scene_dir):
@@ -484,6 +490,35 @@ def test_run_experiment_refuses_a_directory_that_holds_files(tmp_path, tiny_scen
     with pytest.raises(ValueError, match=re.escape(f"not empty: {out}")):
         run_experiment(tiny_spec(tiny_scene_dir, seeds=(2,), methods=("ml",)), out)
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+
+def test_run_experiment_draws_every_cube_from_one_flux(tmp_path, tiny_scene_dir,
+                                                      monkeypatch):
+    # the scene's flux is one convolution per sweep; each cube drawn from it
+    # has the bytes that simulate gives for its ppp and seed
+    calls = []
+    convolve = forward.convolve3d
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "convolve3d", counted)
+    spec = tiny_spec(tiny_scene_dir, ppp=(2.0, 8.0), methods=("ml", "noscan"))
+    out = tmp_path / "run"
+    run_experiment(spec, out)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sum(rel.startswith("cubes/") for rel in outputs) == 2 * 2 * 2
+    scene, _ = load_scene_dir(tiny_scene_dir)
+    for ppp in spec.ppp:
+        for seed in spec.seeds:
+            name = f"ppp{ppp:g}_seed{seed}.sph1"
+            ref = tmp_path / name
+            save_cube(simulate(scene, spec.scan, ppp, spec.sbr, seed), ref)
+            assert outputs[f"cubes/{name}"] == sha256_file(ref)
+            assert outputs[f"cubes/{name}.json"] == sha256_file(f"{ref}.json")
+
 
 def test_cell_failure_recorded_not_fatal(tmp_path, tiny_scene_dir):
     # 12x12 frames cannot be coarsened by 2n = 8; that cell errors, others run

@@ -119,6 +119,13 @@ def test_cube_header_layout(tmp_path):
     # u32 little-endian height, width, n_bins then row-major samples
     assert np.frombuffer(raw[4:16], dtype="<u4").tolist() == [2, 3, 4]
     assert np.frombuffer(raw[16:], dtype="<u4")[:5].tolist() == [0, 1, 2, 3, 4]
+    # the samples go out row-major whatever the array's layout or byte order
+    base = np.arange(120).reshape(4, 5, 6)
+    for arr in (base[::2, 1:, ::3], np.asfortranarray(base), base.astype(">i4"),
+                (base / 7).astype(">f8")[:, ::-1]):
+        io.write_cube(p, arr, {})
+        dtype = "<f4" if arr.dtype.kind == "f" else "<u4"
+        assert p.read_bytes()[16:] == arr.astype(dtype).tobytes()
 
 
 def test_float_cube_round_trip(tmp_path):

@@ -1,6 +1,6 @@
-"""Property tests: the adjoint identity, the TV prox guarantees, the range
-gate's effect on the ml estimator, the ml filter's bytes and file round
-trips, each on shapes and values drawn by Hypothesis (profile in
+"""Property tests: the adjoint identity, cubes drawn from one shared flux,
+the TV prox guarantees and the TV it hands back, the range gate's effect on
+the ml estimator, the ml filter's bytes and file round trips, each on shapes and values drawn by Hypothesis (profile in
 conftest.py: derandomized, no example database)."""
 
 import json
@@ -22,15 +22,19 @@ from splidar.forward import (
     ScanConfig,
     convolve3d,
     convolve3d_adjoint,
+    draw_cube,
     make_kernel,
+    scene_flux,
+    simulate,
 )
-from splidar.scene import SPEED_OF_LIGHT
+from splidar.scene import SPEED_OF_LIGHT, Scene
 from splidar.solver import (
     _PROX_GAP_CHECK,
     ProxScratch,
     SolverConfig,
     _slice_objectives,
     prox_tv_nonneg,
+    tv_penalty,
 )
 
 from test_forward import random_separable_kernel
@@ -58,6 +62,40 @@ def test_adjoint_identity_on_random_kernels_and_shapes(geometry, seed):
     lhs = np.vdot(convolve3d(k, u, 0.0), v)
     rhs = np.vdot(u, convolve3d_adjoint(k, v))
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+@st.composite
+def scenes_and_scans(draw):
+    """A small scan and a scene whose every depth falls on one of its bins,
+    with some reflectivity."""
+    n, n_bins = draw(st.integers(1, 2)), draw(st.integers(6, 20))
+    config = ScanConfig(n=n, jitter_fwhm=draw(st.sampled_from([0.0, 1e-9, 2e-9])),
+                        bin_width=1.6e-9, n_bins=n_bins, sbr_window=4 * 1.6e-9)
+    shape = (draw(st.integers(2 * n + 1, 2 * n + 6)),
+             draw(st.integers(2 * n + 1, 2 * n + 6)))
+    rng = np.random.default_rng(draw(seeds))
+    reflectivity = rng.random(shape) * (rng.random(shape) < 0.8)
+    assume(reflectivity.any())
+    depth = rng.integers(0, n_bins, shape) * (config.bin_width * SPEED_OF_LIGHT / 2)
+    return Scene(reflectivity=reflectivity, depth=depth), config
+
+
+@given(scenes_and_scans(), st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=3),
+       st.floats(0.05, 20.0), st.lists(seeds, min_size=1, max_size=3))
+def test_cubes_drawn_from_one_flux_match_simulate(scene_and_scan, ppps, sbr, cube_seeds):
+    # run_experiment draws every cube of a sweep from one scene_flux
+    scene, config = scene_and_scan
+    flux = scene_flux(scene, config)
+    before = flux.tobytes()
+    for ppp in ppps:
+        for seed in cube_seeds:
+            got = draw_cube(flux, config, ppp, sbr, seed)
+            want = simulate(scene, config, ppp, sbr, seed)
+            assert got.counts.tobytes() == want.counts.tobytes()
+            assert got.background_per_bin.hex() == want.background_per_bin.hex()
+            assert got.alpha.hex() == want.alpha.hex()
+            assert (got.rng_seed, got.config) == (want.rng_seed, want.config)
+    assert flux.tobytes() == before and not flux.flags.writeable
 
 
 def _slice_objective(x, v, weight):
@@ -303,6 +341,47 @@ def test_prox_calls_sharing_one_workspace_match_the_reference(shape, seed, kind,
         else:
             pytest.fail(f"no reference stop matches the call (target {target})")
         assert prox_tv_nonneg(v, weight, iters, dual=start).tobytes() == x.tobytes()
+
+
+@given(
+    st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 8)),
+    seeds,
+    st.sampled_from(["dense", "sparse", "non-positive", "signed zeros"]),
+    st.sampled_from(["cold", "warm", "non-finite"]),
+    st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 5.0)), st.integers(0, 25),
+                       st.one_of(st.none(), st.floats(0.0, 0.5))),
+             min_size=1, max_size=4),
+)
+@example((1, 5, 4), 0, "dense", "warm", [(0.5, 20, None), (0.5, 20, 0.1)])  # no rows
+@example((6, 1, 4), 0, "dense", "warm", [(0.5, 20, None), (0.5, 20, 0.1)])  # no columns
+@example((6, 5, 4), 0, "dense", "non-finite", [(0.5, 20, None), (0.5, 20, None)])
+@example((6, 5, 4), 0, "dense", "cold", [(0.5, 20, None), (0.0, 20, None), (0.5, 0, None)])
+def test_prox_hands_back_the_tv_of_its_output(shape, seed, kind, start, calls):
+    # spiral_solve reads scratch.tv in place of tv_penalty(x); every call
+    # sets it, to None or to the bytes of tv_penalty of its output
+    rng = np.random.default_rng(seed)
+    dual = _starting_dual(rng, shape, start)
+    if dual is None:
+        dual = np.zeros((2 * shape[0] + 1,) + shape[1:], np.float32)
+    scratch = ProxScratch(shape)
+    v = _prox_input(rng, shape, kind)
+    for weight, inner_iters, fraction in calls:
+        v = v + 0.3 * rng.standard_normal(shape)
+        clipped = np.maximum(v, 0.0)
+        target = None
+        if fraction is not None:
+            target = fraction * _slice_objective(clipped, v, weight).sum()
+        scratch.tv = -1.0  # no call may leave what it found
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite duals
+            x = prox_tv_nonneg(v, weight, inner_iters, dual=dual, gap_target=target,
+                               scratch=scratch)
+        if weight == 0 or inner_iters == 0:
+            assert scratch.tv is None
+        elif scratch.tv is None:  # the safeguard replaced a slice by max(v, 0)
+            assert any(x[:, :, t].tobytes() == clipped[:, :, t].tobytes()
+                       for t in range(shape[2]))
+        else:
+            assert scratch.tv.hex() == tv_penalty(x).hex()
 
 
 def test_prox_matches_the_sliced_reference_on_the_chart_shape():
