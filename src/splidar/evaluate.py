@@ -1,10 +1,10 @@
 """Scoring and experiment orchestration.
 
-run_experiment sweeps method x ppp x seed over one scene, simulating,
-reconstructing, and scoring each cell (the scene's flux once, a cube per ppp
-and seed), and writes a deterministic results
-table plus a manifest of content hashes. Wall-clock numbers go to a separate
-timings file so the scored outputs are byte-identical across reruns.
+run_experiment sweeps method x ppp x seed over one scene, simulating (the
+scene's flux once, a cube per ppp and seed), reconstructing, and scoring
+each cell, and writes a deterministic results table plus a manifest of
+content hashes. Wall-clock numbers go to a separate timings file so the
+scored outputs are byte-identical across reruns.
 """
 
 from __future__ import annotations

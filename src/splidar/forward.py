@@ -304,6 +304,7 @@ def draw_cube(flux, config, ppp, sbr, seed):
     lam = np.multiply(flux, alpha)  # the bytes of alpha * flux + b, one buffer
     lam += background_per_bin
     counts = np.random.default_rng(seed).poisson(lam)
+    del lam  # before HistogramCube copies the counts, which would add a volume
     return HistogramCube(
         counts=counts,
         config=config,
