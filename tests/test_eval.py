@@ -491,6 +491,7 @@ def test_run_experiment_refuses_a_directory_that_holds_files(tmp_path, tiny_scen
         run_experiment(tiny_spec(tiny_scene_dir, seeds=(2,), methods=("ml",)), out)
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
 
+
 def test_run_experiment_draws_every_cube_from_one_flux(tmp_path, tiny_scene_dir,
                                                       monkeypatch):
     # the scene's flux is one convolution per sweep; each cube drawn from it

@@ -1,7 +1,8 @@
 """Property tests: the adjoint identity, cubes drawn from one shared flux,
 the TV prox guarantees and the TV it hands back, the range gate's effect on
-the ml estimator, the ml filter's bytes and file round trips, each on shapes and values drawn by Hypothesis (profile in
-conftest.py: derandomized, no example database)."""
+the ml estimator, the ml filter's bytes and file round trips, each on
+shapes and values drawn by Hypothesis (profile in conftest.py:
+derandomized, no example database)."""
 
 import json
 import tempfile
